@@ -612,14 +612,6 @@ func BenchmarkFleetOffload(b *testing.B) {
 	})
 }
 
-// flatLogits is the zero-cpu cloud stand-in used by BenchmarkFleetWeighted:
-// constant logits, so a replica's whole serving cost is its modeled delay.
-type flatLogits struct{ classes int }
-
-func (m flatLogits) Logits(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return tensor.New(x.Dim(0), m.classes)
-}
-
 // BenchmarkFleetWeighted measures heterogeneous-fleet routing over
 // co-located replicas: concurrent workers share one edge.MultiClient across
 // 2 fast + 1 slow (6×) serialized accelerators, with uniform p2c vs the
@@ -643,7 +635,7 @@ func BenchmarkFleetWeighted(b *testing.B) {
 			clients := make([]edge.CloudClient, 3)
 			for r, d := range []time.Duration{fastDelay, fastDelay, slowDelay} {
 				clients[r] = &edge.InProcClient{
-					Model: &fleet.SlowModel{Inner: flatLogits{classes: 10}, Delay: d},
+					Model: &fleet.SlowModel{Inner: fleet.FlatModel{Classes: 10}, Delay: d},
 				}
 			}
 			mc, err := edge.NewMultiClient(clients,
@@ -726,28 +718,29 @@ func BenchmarkPipelinePartition(b *testing.B) {
 		b.Fatal(err)
 	}
 	img := tensor.Randn(rng, 1, in.C, in.H, in.W)
-	stageDelay := func(i int) time.Duration {
-		return time.Duration(pipe.Stages[i].ComputeSec * float64(time.Second))
+	stage := func(i int) fleet.StageSpec {
+		st := pipe.Stages[i]
+		return fleet.StageSpec{
+			Delay: time.Duration(st.ComputeSec * float64(time.Second)),
+			Dims:  []int{st.Out.C, st.Out.H, st.Out.W},
+		}
 	}
 
-	measure := func(b *testing.B, hops []fleet.ChainHop, local *fleet.SlowStage) {
+	// measure serves a synthetic chain from one hop per cloud cut (the first
+	// behind the uplink, the second behind the interlink).
+	measure := func(b *testing.B, chain []nn.Layer, cuts ...core.CutPoint) {
 		b.Helper()
+		hops := make([]fleet.ChainHop, len(cuts))
+		for i := range hops {
+			hops[i] = fleet.ChainHop{Chain: chain, Link: interlink}
+		}
 		ch, err := fleet.StartChain(hops)
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer ch.Close()
-		next, err := edge.DialCloud(ch.Addr(), edge.DialConfig{Link: uplink})
+		client, err := ch.Dial(edge.DialConfig{Link: uplink}, edge.ChainConfig{Chain: chain, Cuts: cuts})
 		if err != nil {
-			b.Fatal(err)
-		}
-		var localStage nn.Layer
-		if local != nil { // a typed-nil *SlowStage would read as a present stage
-			localStage = local
-		}
-		client, err := edge.NewChainClient(localStage, next, 0)
-		if err != nil {
-			next.Close()
 			b.Fatal(err)
 		}
 		defer client.Close()
@@ -762,43 +755,23 @@ func BenchmarkPipelinePartition(b *testing.B) {
 	}
 
 	b.Run("direct", func(b *testing.B) {
-		measure(b, []fleet.ChainHop{{
-			Stage: &fleet.SlowStage{Inner: fleet.ShapeStage{Dims: []int{classes}}, Delay: chainCompute},
-		}}, nil)
+		measure(b, fleet.SyntheticChain(fleet.StageSpec{Delay: chainCompute, Dims: []int{classes}}), 0)
 	})
 	b.Run("pipeline3", func(b *testing.B) {
-		mid := pipe.Stages[1].Out
-		measure(b, []fleet.ChainHop{
-			{Stage: &fleet.SlowStage{Inner: fleet.ShapeStage{Dims: []int{mid.C, mid.H, mid.W}}, Delay: stageDelay(1)}, Link: interlink},
-			{Stage: &fleet.SlowStage{Inner: fleet.ShapeStage{Dims: []int{classes}}, Delay: stageDelay(2)}},
-		}, &fleet.SlowStage{Inner: fleet.ShapeStage{Dims: []int{pipe.Stages[0].Out.C, pipe.Stages[0].Out.H, pipe.Stages[0].Out.W}}, Delay: stageDelay(0)})
+		terminal := stage(2)
+		terminal.Dims = []int{classes}
+		measure(b, fleet.SyntheticChain(stage(0), stage(1), terminal), 1, 2)
 	})
-}
-
-// benchFlatModel is the zero-cpu monolithic-replica stand-in for the
-// failover benchmark: zero logits after a serialized fixed delay, so the
-// direct fallback's serving cost is exactly the modeled whole-chain compute
-// (the same physics discipline as SlowStage hops).
-type benchFlatModel struct {
-	classes int
-	delay   time.Duration
-	mu      sync.Mutex
-}
-
-func (m *benchFlatModel) Logits(x *tensor.Tensor, train bool) *tensor.Tensor {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	time.Sleep(m.delay)
-	return tensor.New(x.Dim(0), m.classes)
 }
 
 // BenchmarkChainFailover measures the chain's degraded mode next to its
 // healthy path: the same 2-hop stage pipeline (zero-cpu shape stands with
-// serialized delays) with a direct monolithic fallback replica armed. The
-// healthy sub never touches the fallback; the failover sub kills the
-// terminal hop before the load, so every batch pays a failed relay attempt
-// and then the direct round trip — the images/s gap is the price of
-// degraded mode, and the sub regressing is what bench-compare gates on.
+// serialized delays, the edge shipping raw input) with a direct monolithic
+// fallback replica armed. The healthy sub never touches the fallback; the
+// failover sub kills the terminal hop before the load, so every batch pays a
+// failed relay attempt and then the direct round trip — the images/s gap is
+// the price of degraded mode, and the sub regressing is what bench-compare
+// gates on.
 func BenchmarkChainFailover(b *testing.B) {
 	const hopCompute = 2 * time.Millisecond
 	const workers, total, classes = 8, 32, 5
@@ -809,17 +782,18 @@ func BenchmarkChainFailover(b *testing.B) {
 
 	measure := func(b *testing.B, killTerminal bool) {
 		b.Helper()
-		ch, err := fleet.StartChain([]fleet.ChainHop{
-			{Stage: &fleet.SlowStage{Inner: fleet.ShapeStage{Dims: []int{4, 6, 6}}, Delay: hopCompute}, Link: interlink},
-			{Stage: &fleet.SlowStage{Inner: fleet.ShapeStage{Dims: []int{classes}}, Delay: hopCompute}},
-		})
+		chain := fleet.SyntheticChain(
+			fleet.StageSpec{Delay: hopCompute, Dims: []int{4, 6, 6}},
+			fleet.StageSpec{Delay: hopCompute, Dims: []int{classes}},
+		)
+		ch, err := fleet.StartChain([]fleet.ChainHop{{Chain: chain, Link: interlink}, {Chain: chain}})
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer ch.Close()
 		// The fallback replica serves the WHOLE chain's compute per batch —
 		// a failover is never cheaper than the pipeline it replaces.
-		direct, err := cloud.NewServer(&benchFlatModel{classes: classes, delay: 2 * hopCompute}, nil)
+		direct, err := cloud.NewServer(&fleet.SlowModel{Inner: fleet.FlatModel{Classes: classes}, Delay: 2 * hopCompute}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -827,22 +801,16 @@ func BenchmarkChainFailover(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer direct.Close()
-		next, err := edge.DialCloud(ch.Addr(), edge.DialConfig{Link: uplink})
-		if err != nil {
-			b.Fatal(err)
-		}
-		client, err := edge.NewChainClient(nil, next, 0)
-		if err != nil {
-			next.Close()
-			b.Fatal(err)
-		}
-		defer client.Close()
 		dc, err := edge.DialCloud(direct.Addr().String(), edge.DialConfig{Link: uplink})
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer dc.Close()
-		client.SetDirect(dc)
+		client, err := ch.Dial(edge.DialConfig{Link: uplink}, edge.ChainConfig{Chain: chain, Cuts: []core.CutPoint{0, 1}, Direct: dc})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer client.Close()
 		if killTerminal {
 			ch.Servers[1].Close()
 		}

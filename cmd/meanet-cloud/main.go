@@ -8,7 +8,7 @@
 //	             [-seed N] [-epochs N] [-weights FILE] [-save FILE]
 //	             [-batch N] [-linger DUR] [-tail] [-variant A|B]
 //	             [-shed-queue N] [-shed-inflight N] [-shed-retry-after DUR]
-//	             [-stage K -cuts C1,C2,... [-downstream host:port]]
+//	             [-downstream host:port[,host:port...]]
 //
 // -batch enables server-side micro-batching: up to N concurrent classify
 // requests (from any number of edge connections) are coalesced into one
@@ -34,23 +34,22 @@
 // edge can then offload feature tensors (-offload features|auto) instead of
 // raw pixels.
 //
-// -stage K serves hop K of a multi-hop partitioned deployment (requires
-// -cuts, the comma-separated cut points over the serving chain — the same
-// value every hop and the edge must agree on). The server trains the same
-// partitioned model as -tail, answers relay frames by running its stage of
-// the chain, and — unless it is the terminal hop (K == number of cuts) —
-// forwards the stage outputs to the next hop at -downstream. Stage servers
-// still serve raw and feature uploads, so a chain hop can double as an
-// ordinary replica. Predictions through the chain are bitwise identical to
-// the monolithic partitioned model.
+// Every -tail server is also a hop of a multi-hop partitioned deployment: it
+// holds the full serving chain (main block + tail, at unit granularity) and
+// answers source-routed relay frames, running whatever span of the chain
+// each frame's route assigns it. The cut points travel with the frame (the
+// edge's meanet-edge -cuts), so no hop is configured with its position, and
+// an edge running -replan moves cuts live without any hop being
+// reconfigured. A server without -downstream is the terminal hop of every
+// route that reaches it; -downstream makes it a forwarding hop. Predictions
+// through the chain are bitwise identical to the monolithic partitioned
+// model, and chain hops still serve raw and feature uploads, so a hop can
+// double as an ordinary replica.
 //
-// -downstream accepts a comma-separated failover list: the first address is
-// the preferred next hop, the rest are tried in order when it fails or
-// sheds, with exclusion windows so a dead replica is not re-dialed on every
-// frame. Stage servers also answer source-routed relay frames, whose cut
-// points travel with the frame instead of being fixed by -cuts — that is
-// what lets an edge running -replan move cuts live without any hop being
-// reconfigured.
+// -downstream (requires -tail) accepts a comma-separated failover list: the
+// first address is the preferred next hop, the rest are tried in order when
+// it fails or sheds, with exclusion windows so a dead replica is not
+// re-dialed on every frame.
 //
 // The companion meanet-edge command, started with the same -dataset, -scale,
 // -seed and -variant, generates the identical synthetic dataset and offloads
@@ -112,18 +111,12 @@ func run(args []string) error {
 	shedQueue := fs.Int64("shed-queue", 0, "shed classify requests while the collector queue holds at least this many (0 = off)")
 	shedInflight := fs.Int64("shed-inflight", 0, "shed classify requests while at least this many dispatches are in flight (0 = off)")
 	shedRetryAfter := fs.Duration("shed-retry-after", 0, "retry-after hint carried in shed frames (0 = default 50ms)")
-	stageIdx := fs.Int("stage", -1, "serve stage K of the multi-hop partitioned chain (requires -cuts; -1 = off)")
-	cutsFlag := fs.String("cuts", "", "comma-separated cut points over the serving chain (with -stage; all hops and the edge must agree)")
-	downstreamAddr := fs.String("downstream", "", "next hop address(es) for relayed activations, comma-separated failover order (non-terminal stages only)")
+	downstreamAddr := fs.String("downstream", "", "next chain hop address(es) for routed relay frames, comma-separated failover order (requires -tail)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stageMode := *stageIdx >= 0
-	if stageMode && *cutsFlag == "" {
-		return fmt.Errorf("-stage needs -cuts: the chain's cut points define what stage %d runs", *stageIdx)
-	}
-	if !stageMode && (*cutsFlag != "" || *downstreamAddr != "") {
-		return fmt.Errorf("-cuts/-downstream only apply to stage servers (-stage K)")
+	if *downstreamAddr != "" && !*tailMode {
+		return fmt.Errorf("-downstream needs -tail: only a server holding the serving chain relays")
 	}
 	shed := cloud.ShedPolicy{MaxQueue: *shedQueue, MaxInFlight: *shedInflight, RetryAfter: *shedRetryAfter}
 	if *shedQueue < 0 || *shedInflight < 0 {
@@ -141,16 +134,16 @@ func run(args []string) error {
 		return err
 	}
 
-	// Partitioned deployment: with -tail (or -stage, which partitions the
-	// same model further) the server's raw model is the composition tail∘main
+	// Partitioned deployment: with -tail the server's raw model is the
+	// composition tail∘main
 	// of the replayed edge main block — raw and feature uploads answer
 	// bitwise identically, which is what makes the edge's -offload auto a
 	// pure communication trade. The standalone cloud CNN (and its
 	// -weights/-save persistence) belongs to the non-partitioned deployment
 	// only.
-	if *tailMode || stageMode {
+	if *tailMode {
 		if *weights != "" || *save != "" {
-			return fmt.Errorf("-weights/-save persist the standalone cloud CNN and are incompatible with -tail/-stage")
+			return fmt.Errorf("-weights/-save persist the standalone cloud CNN and are incompatible with -tail")
 		}
 		spec := deploy.EdgeSpec{
 			Dataset: *dataset, Scale: scale, Seed: *seed, Variant: *variant,
@@ -178,57 +171,27 @@ func run(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "partitioned model test accuracy: %.2f%%\n", 100*acc)
 
-		// Stage mode: cut the serving chain exactly as the edge and the other
-		// hops do (same deterministic construction, same -cuts), keep this
-		// hop's stage, and forward downstream unless terminal. The raw/tail
-		// models stay mounted — a stage hop can double as a plain replica.
-		var stageDesc string
-		var opts []cloud.Option
-		if stageMode {
-			chain := deploy.ServingChain(m, tail)
-			cuts, err := deploy.ParseCuts(*cutsFlag)
+		// Chain hop: the full serving chain, built exactly as the edge and
+		// every other hop build it (same deterministic construction), serves
+		// whatever span each routed frame assigns. More than one -downstream
+		// address arms hop-local failover: the entries form an ordered set,
+		// tried in order with exclusion windows, so the chain heals around
+		// one dead next-hop replica without the edge noticing.
+		cfg := cloud.StageConfig{Chain: deploy.ServingChain(m, tail)}
+		downAddrs := edge.SplitAddrs(*downstreamAddr)
+		for _, da := range downAddrs {
+			down, err := edge.DialCloud(da, edge.DialConfig{})
 			if err != nil {
-				return err
+				return fmt.Errorf("dial downstream %s: %w", da, err)
 			}
-			stages, err := core.Partition(chain, cuts)
-			if err != nil {
-				return err
-			}
-			if *stageIdx >= len(stages) {
-				return fmt.Errorf("-stage %d out of range: %d cuts make stages 0..%d", *stageIdx, len(cuts), len(stages)-1)
-			}
-			// The full chain rides along so the hop also answers source-routed
-			// relay frames (an edge running -replan moves cuts by stamping new
-			// routes on new frames; no hop is ever reconfigured).
-			cfg := cloud.StageConfig{Stage: stages[*stageIdx], Chain: chain}
-			downAddrs := edge.SplitAddrs(*downstreamAddr)
-			terminal := *stageIdx == len(cuts)
-			if terminal {
-				if len(downAddrs) > 0 {
-					return fmt.Errorf("-downstream on the terminal stage %d: the last hop answers results itself", *stageIdx)
-				}
-				stageDesc = fmt.Sprintf("terminal stage %d/%d of chain cut at %v", *stageIdx, len(stages)-1, cuts)
-			} else {
-				if len(downAddrs) == 0 {
-					return fmt.Errorf("stage %d is not terminal (%d cuts): -downstream must name the next hop", *stageIdx, len(cuts))
-				}
-				// More than one address arms hop-local failover: the entries
-				// form an ordered set, tried in order with exclusion windows,
-				// so the chain heals around one dead next-hop replica without
-				// the edge noticing.
-				for _, da := range downAddrs {
-					down, err := edge.DialCloud(da, edge.DialConfig{})
-					if err != nil {
-						return fmt.Errorf("dial downstream %s: %w", da, err)
-					}
-					defer down.Close()
-					cfg.Downstreams = append(cfg.Downstreams, down)
-				}
-				stageDesc = fmt.Sprintf("stage %d/%d of chain cut at %v, downstream %s", *stageIdx, len(stages)-1, cuts, strings.Join(downAddrs, ","))
-			}
-			opts = append(opts, cloud.WithStage(cfg))
+			defer down.Close()
+			cfg.Downstreams = append(cfg.Downstreams, down)
 		}
-		return serve(raw, tail, *addr, *dataset, synth.Train.NumClasses, *batch, *linger, shed, stageDesc, opts...)
+		stageDesc := fmt.Sprintf("%d-unit chain hop", len(cfg.Chain))
+		if len(downAddrs) > 0 {
+			stageDesc += ", downstream " + strings.Join(downAddrs, ",")
+		}
+		return serve(raw, tail, *addr, *dataset, synth.Train.NumClasses, *batch, *linger, shed, stageDesc, cloud.WithStage(cfg))
 	}
 
 	rng := rand.New(rand.NewSource(*seed + 500))

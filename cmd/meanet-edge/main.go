@@ -57,11 +57,12 @@
 // "caps unknown" for legacy servers, which are routed optimistically).
 //
 // -cuts joins a multi-hop partitioned deployment: the serving chain is cut
-// at the given points (the SAME -cuts every meanet-cloud -stage hop was
-// started with), the edge runs stage 0 — the main-block units before the
-// first cut — locally, and offloaded instances relay stage activations
-// through the chain instead of raw pixels. Requires exactly one -cloud
-// address (the first stage hop) and -offload raw; predictions are bitwise
+// at the given points, the edge runs stage 0 — the main-block units before
+// the first cut — locally, and offloaded instances relay stage activations
+// through the chain of meanet-cloud -tail hops instead of raw pixels. Every
+// relay frame carries its own cut chain, so the hops need no -cuts of their
+// own: each runs the span the frame's route assigns it. Requires exactly one
+// -cloud address (the first hop) and -offload raw; predictions are bitwise
 // identical to the single-hop deployment. Before streaming, the whole chain
 // is probed end to end — a dead mid-hop is reported with its hop index
 // instead of surfacing as a mid-run relay failure. Flag combinations are
@@ -69,25 +70,24 @@
 //
 // -chain-fallback arms the chain's degraded mode: when a relay fails or a
 // hop sheds, the ORIGINAL raw batch ships to the named monolithic replica
-// in one direct round trip instead of erroring to the edge decision. The
+// in one direct round trip instead of erroring to the edge decision, and
+// after a failure batches skip the chain for a 250ms retry window. The
 // report's "chain paths" line partitions instances exactly between the
 // chain, the fallback and chain failures.
 //
-// -replan turns the static -cuts into a starting point: offloads carry
-// source-routed relay frames (the cut chain travels with each frame), the
-// client feeds its measured link estimates and per-hop service telemetry to
-// the placement solver periodically, and when a re-solved placement beats
-// the current cuts by more than -replan-hysteresis (default 0.15) the cuts
-// move — new frames take the new route while in-flight frames drain on the
-// old one, so no frame is dropped and predictions stay bitwise identical
-// across the switch. Requires every hop to run with the full chain
-// (meanet-cloud -stage serves routed frames automatically).
+// -replan turns the fixed -cuts into a starting point: the client feeds its
+// measured link estimates and per-hop service telemetry to the placement
+// solver periodically, and when a re-solved placement beats the current cuts
+// by more than -replan-hysteresis (default 0.15) the cuts move — new frames
+// take the new route while in-flight frames drain on the old one, so no
+// frame is dropped and predictions stay bitwise identical across the switch.
+// No hop is reconfigured: the route travels with each frame.
 //
 // -plan runs the placement solver instead of serving: given per-device
 // compute rates (-plan-rates, MACs/s, first device is the edge) and the
 // links between consecutive devices (-plan-links, "Mbps@latency" per hop),
-// it prints the throughput-maximizing cut chain — the -cuts/-stage values to
-// start the deployment with — next to the all-edge and direct-offload
+// it prints the throughput-maximizing cut chain — the -cuts value to start
+// the deployment with — next to the all-edge and direct-offload
 // predictions, then exits without training or serving.
 //
 // -admin (multi-replica runs only) opens a line-based TCP control socket for
@@ -117,7 +117,6 @@ import (
 	"github.com/meanet/meanet/internal/edge"
 	"github.com/meanet/meanet/internal/energy"
 	"github.com/meanet/meanet/internal/netsim"
-	"github.com/meanet/meanet/internal/nn"
 	"github.com/meanet/meanet/internal/profile"
 	"github.com/meanet/meanet/internal/tensor"
 )
@@ -291,42 +290,34 @@ func run(args []string) error {
 			return fmt.Errorf("first cut %d is past the edge main block (%d units): the edge can only run main-block units locally",
 				cuts[0], len(flat))
 		}
-		var cc *edge.ChainClient
-		if *replan {
-			// Routed mode needs the FULL chain geometry — main block plus
-			// tail — so the re-solver can price every legal placement. The
-			// tail is built untrained: only its layer geometry enters the
-			// cost model, and MaxLocal pins the edge's span inside the main
-			// block, whose weights are the only ones it holds.
-			cls, err := deploy.BuildTailNet(rand.New(rand.NewSource(1)), m.MainOutChannels(), classes)
-			if err != nil {
-				return err
-			}
-			chainUnits := deploy.ServingChain(m, &cloud.Tail{Body: cls.Backbone, Exit: cls.Exit})
-			cc, err = edge.NewRoutedChainClient(client.(*edge.TCPClient), edge.ChainConfig{
-				Chain:    chainUnits,
-				Cuts:     cuts,
-				MaxLocal: len(flat),
-				Replan: edge.ReplanConfig{
-					Enabled:    true,
-					Hysteresis: *replanHyst,
-					In:         profile.Shape{C: synth.Train.C, H: synth.Train.H, W: synth.Train.W},
-				},
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "multi-hop chain (routed, re-placement beyond +%.0f%% modeled gain): edge runs units [0,%d) locally, relaying to %s (cuts %v)\n",
-				100**replanHyst, cuts[0], addrs[0], cuts)
-		} else {
-			local := nn.NewSequential("edge-stage0", flat[:cuts[0]]...)
-			cc, err = edge.NewChainClient(local, client.(*edge.TCPClient), 0)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "multi-hop chain: edge runs units [0,%d) locally, relaying to %s (cuts %v)\n",
-				cuts[0], addrs[0], cuts)
+		// The client needs the FULL chain geometry — main block plus tail —
+		// to validate the route and, with -replan, to price every legal
+		// placement. The tail is built untrained: only its layer geometry is
+		// used, and MaxLocal pins the edge's span inside the main block,
+		// whose weights are the only ones it holds.
+		cls, err := deploy.BuildTailNet(rand.New(rand.NewSource(1)), m.MainOutChannels(), classes)
+		if err != nil {
+			return err
 		}
+		cc, err := edge.NewRoutedChainClient(client.(*edge.TCPClient), edge.ChainConfig{
+			Chain:    deploy.ServingChain(m, &cloud.Tail{Body: cls.Backbone, Exit: cls.Exit}),
+			Cuts:     cuts,
+			MaxLocal: len(flat),
+			Replan: edge.ReplanConfig{
+				Enabled:    *replan,
+				Hysteresis: *replanHyst,
+				In:         profile.Shape{C: synth.Train.C, H: synth.Train.H, W: synth.Train.W},
+			},
+		})
+		if err != nil {
+			return err
+		}
+		mode := ""
+		if *replan {
+			mode = fmt.Sprintf(" (re-placement beyond +%.0f%% modeled gain)", 100**replanHyst)
+		}
+		fmt.Fprintf(os.Stderr, "multi-hop chain%s: edge runs units [0,%d) locally, relaying to %s (cuts %v)\n",
+			mode, cuts[0], addrs[0], cuts)
 		if *chainFallback != "" {
 			direct, err := edge.DialCloud(*chainFallback, edge.DialConfig{Link: netsim.Link{Latency: *latency, Mbps: *mbps}})
 			if err != nil {
@@ -644,7 +635,7 @@ func planPlacement(m *core.MEANet, synth *data.Synth, ratesFlag, linksFlag strin
 			1000*st.ComputeSec, 1000*st.TransferSec, st.WireBytes)
 	}
 	if len(pipe.Cuts) > 0 {
-		fmt.Printf("deploy with: meanet-edge -cuts %[1]s and meanet-cloud -stage K -cuts %[1]s per hop K=1..%d\n",
+		fmt.Printf("deploy with: meanet-edge -cuts %s and %d meanet-cloud -tail hops, each but the last with -downstream\n",
 			strings.Join(cutStrs, ","), len(pipe.Cuts))
 	}
 	return nil

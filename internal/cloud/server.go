@@ -131,10 +131,9 @@ type Server struct {
 	featBatch *batcher    // features-mode collector; nil unless batching and feat are both on
 	shedPol   *ShedPolicy // nil when admission control is disabled
 
-	// Stage-server mode (WithStage): all four are fixed before Listen and
+	// Stage-server mode (WithStage): all three are fixed before Listen and
 	// read-only afterwards, like raw/feat above.
-	stage         nn.Layer      // static chain stage served on MsgRelay; nil with chain = routed-only hop
-	chain         []nn.Layer    // full serving chain for source-routed relays; nil = routed mode off
+	chain         []nn.Layer    // full serving chain for routed relays; nil = stage mode off
 	stageInflight int           // per-connection relay dispatch bound
 	failureExcl   time.Duration // downstream transport-failure exclusion window
 
@@ -416,13 +415,18 @@ func (s *Server) handleConn(conn net.Conn) {
 		if writeBroken {
 			return
 		}
+		// Count before the write: the peer may read the reply (and this
+		// server's Stats) before WriteFrame returns. A failed write takes
+		// the count back.
+		n := uint64(protocol.FrameWireSize(len(resp.Payload)))
+		s.bytesOut.Add(n)
 		if err := protocol.WriteFrame(conn, resp); err != nil {
+			s.bytesOut.Add(-n)
 			writeBroken = true
 			s.errorCount.Add(1)
 			conn.Close() // fail the read loop too; the peer is gone
 			return
 		}
-		s.bytesOut.Add(uint64(protocol.FrameWireSize(len(resp.Payload))))
 	}
 	for {
 		f, err := protocol.ReadFrame(conn)
@@ -435,7 +439,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		// Full frame size, header included: the client's BytesSent counter
 		// accounts whole frames, and the two ends must agree bitwise.
 		s.bytesIn.Add(uint64(protocol.FrameWireSize(len(f.Payload))))
-		if isClassify(f.Type) && !isRelayProbe(f) && s.shouldShed() {
+		if isClassify(f) && s.shouldShed() {
 			// Admission control: answer with a shed frame — the retry-after
 			// hint plus the load snapshot that triggered it — and never park
 			// or dispatch the work. The payload was already read (framing
@@ -453,7 +457,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			})
 			continue
 		}
-		if (f.Type == protocol.MsgRelay || f.Type == protocol.MsgRelayRoute) && s.stageMode() {
+		if f.Type == protocol.MsgRelayRoute && s.stageMode() {
 			// Keep reading while the stage (and any downstream hops) work on
 			// this batch, so one pipelined upstream connection keeps every
 			// hop of the chain busy at once. Same wait-group safety argument
@@ -499,28 +503,23 @@ func (s *Server) capabilities() protocol.Capabilities {
 	return c
 }
 
-// isClassify reports whether a frame type carries classification work — the
+// isClassify reports whether a frame carries classification work — the
 // frames admission control may shed (pings and unknown types never are).
-// Relay frames — static and routed — carry exactly one stage of
-// classification work, so a saturated hop sheds them like any other classify;
-// the shed propagates back along the chain as a MsgShed and the edge takes
-// its zero-charge hold.
-func isClassify(t protocol.MsgType) bool {
-	switch t {
+// A routed relay frame carries one stage of classification work, so a
+// saturated hop sheds it like any other classify; the shed propagates back
+// along the chain as a MsgShed and the edge takes its zero-charge hold. Chain
+// probes are the exception: like pings, they are never shed, because health
+// checks must work exactly when the server is busiest.
+func isClassify(f protocol.Frame) bool {
+	switch f.Type {
 	case protocol.MsgClassifyRaw, protocol.MsgClassifyFeat,
-		protocol.MsgClassifyBatch, protocol.MsgClassifyFeatBatch,
-		protocol.MsgRelay, protocol.MsgRelayRoute:
+		protocol.MsgClassifyBatch, protocol.MsgClassifyFeatBatch:
 		return true
+	case protocol.MsgRelayRoute:
+		return !protocol.IsRoutedProbe(f.Payload)
 	default:
 		return false
 	}
-}
-
-// isRelayProbe reports whether a frame is a zero-instance chain probe. Like
-// pings, probes are never shed: health checks must work exactly when the
-// server is busiest.
-func isRelayProbe(f protocol.Frame) bool {
-	return f.Type == protocol.MsgRelay && protocol.IsRelayProbe(f.Payload)
 }
 
 // dispatch computes the response frame for a request frame.
@@ -563,17 +562,12 @@ func (s *Server) dispatch(f protocol.Frame) protocol.Frame {
 			return errorFrame(f.ID, "features mode not supported by this server")
 		}
 		return s.classifyBatchFrame(f, s.featLogits)
-	case protocol.MsgRelay:
+	case protocol.MsgRelayRoute:
 		if !s.stageMode() {
 			// The stage-mode analogue of the MsgHello legacy contract: a
-			// server without a configured stage (or predating the frame
-			// entirely) answers MsgError, and the chain client surfaces it.
+			// server without a serving chain answers MsgError, and the chain
+			// client surfaces it.
 			return errorFrame(f.ID, "stage mode not supported by this server")
-		}
-		return s.relayFrame(f)
-	case protocol.MsgRelayRoute:
-		if len(s.chain) == 0 {
-			return errorFrame(f.ID, "routed relay not supported by this server")
 		}
 		return s.routedFrame(f)
 	default:

@@ -1,20 +1,16 @@
 package cloud
 
-// Stage-server mode: a server configured with WithStage participates in a
-// multi-hop partitioned deployment (core.Partition). Two chain flavours share
-// the machinery:
-//
-//   - STATIC chains (MsgRelay, PR 9): the hop runs its configured Stage and
-//     forwards the outputs downstream, or — at the terminal hop — argmaxes
-//     the logits and answers with the usual MsgResultBatch (the SAME
-//     post-processing as classifyBatchFrame, so chained predictions are
-//     bitwise identical to the monolithic forward).
-//   - SOURCE-ROUTED chains (MsgRelayRoute): every hop holds the FULL serving
-//     chain and runs whatever unit span the frame's route assigns it. The
-//     cuts live in the frame, not in server config, which is what lets the
-//     edge's live re-placement solver move a cut mid-run: in-flight frames
-//     complete on the old route while new frames ship the new one, and no
-//     server is reconfigured.
+// Stage-server mode: a server configured with WithStage is one hop of a
+// multi-hop partitioned deployment (core.Partition). Every hop holds the FULL
+// serving chain and runs whatever unit span a MsgRelayRoute frame's route
+// assigns it, then forwards the outputs downstream or — when the route has
+// no boundaries left — argmaxes the logits and answers with the usual
+// MsgResultBatch (the SAME post-processing as classifyBatchFrame, so chained
+// predictions are bitwise identical to the monolithic forward). The cuts live
+// in the frame, not in server config, which is what lets the edge's live
+// re-placement solver move a cut mid-run: in-flight frames complete on the
+// old route while new frames ship the new one, and no server is
+// reconfigured. A fixed chain is the same frame with fixed cuts.
 //
 // Downstream is an ordered FAILOVER set (PR 6 exclusion-window semantics): a
 // hop that cannot reach its preferred next hop tries the alternates in order,
@@ -24,7 +20,7 @@ package cloud
 // StageStatus vector (measured stage service time + the hop's own downstream
 // link estimate), the telemetry the edge's re-placement solver runs on.
 //
-// This package deliberately depends only on the Downstream interfaces, never
+// This package deliberately depends only on the Downstream interface, never
 // on the edge package; shed-ness of a downstream error is detected through
 // errors.Is against core.ErrShed and the optional RetryAfterHint method,
 // both satisfied by edge.ShedError.
@@ -41,32 +37,17 @@ import (
 	"github.com/meanet/meanet/internal/tensor"
 )
 
-// Downstream is the transport a non-terminal stage server forwards
-// activations through. *edge.TCPClient satisfies it (RelayActivations), so a
-// chain hop reuses the full edge transport stack — pipelining, redial with
-// backoff, per-hop link estimation — for its own downstream leg. The server
-// package deliberately depends only on this interface, never on the edge
-// package.
+// Downstream is the transport a forwarding hop relays routed frames through.
+// *edge.TCPClient satisfies it, so a chain hop reuses the full edge transport
+// stack — pipelining, redial with backoff, per-hop link estimation — for its
+// own downstream leg. Both methods return the downstream's per-hop
+// StageStatus vector alongside the results.
 type Downstream interface {
-	RelayActivations(batch *tensor.Tensor, ttl uint8) ([]protocol.Result, error)
-}
-
-// downstreamStatus is the status-aware flavour of Downstream: the reply's
-// piggybacked per-hop StageStatus vector comes back with the results.
-// Optional — a transport without it still chains, with no telemetry.
-type downstreamStatus interface {
-	RelayActivationsStatus(batch *tensor.Tensor, ttl uint8) ([]protocol.Result, []protocol.StageStatus, error)
-}
-
-// downstreamRouted forwards a source-routed relay frame (MsgRelayRoute).
-// Optional — required only on hops of a routed chain.
-type downstreamRouted interface {
-	RelayRouted(batch *tensor.Tensor, ttl uint8, pos int, bounds []int) ([]protocol.Result, []protocol.StageStatus, error)
-}
-
-// downstreamProbe forwards a zero-instance chain probe.
-type downstreamProbe interface {
-	RelayProbe(ttl uint8) ([]protocol.StageStatus, error)
+	// RelayRouted ships an activation batch whose next span starts at pos
+	// along the remaining route bounds.
+	RelayRouted(batch *tensor.Tensor, pos int, bounds []int) ([]protocol.Result, []protocol.StageStatus, error)
+	// RelayProbe ships a zero-instance probe along the same route shape.
+	RelayProbe(pos int, bounds []int) ([]protocol.StageStatus, error)
 }
 
 // downstreamLink exposes the transport's live link estimate, reported in this
@@ -81,25 +62,15 @@ type retryAfterHint interface{ RetryAfterHint() time.Duration }
 
 // StageConfig configures a server's role in a relay chain.
 type StageConfig struct {
-	// Stage is the chain stage this hop runs on STATIC relay frames
-	// (MsgRelay; typically one of the *nn.Sequential stages core.Partition
-	// returns). May be nil on a routed-only hop.
-	Stage nn.Layer
 	// Chain is the FULL serving chain at unit granularity
-	// (core.FlattenChain), enabling source-routed relay frames
-	// (MsgRelayRoute): the hop runs whatever span each frame's route assigns
-	// it. May be nil on a static-only hop. At least one of Stage and Chain
-	// must be set for stage mode.
+	// (core.FlattenChain): the hop runs whatever span each routed frame
+	// assigns it. Required for stage mode.
 	Chain []nn.Layer
-	// Downstream, when non-nil, is shorthand for the first (preferred) entry
-	// of Downstreams.
-	Downstream Downstream
 	// Downstreams is the ordered failover set this hop forwards through:
 	// entries are tried in order, an entry that fails is excluded for a
 	// window (sheds: the carried retry-after; transport failures:
 	// FailureExclusion) and the next is tried — the PR 6 replica-exclusion
-	// semantics applied hop-locally. Empty (and Downstream nil) marks the
-	// terminal hop.
+	// semantics applied hop-locally. Empty marks a terminal-only hop.
 	Downstreams []Downstream
 	// MaxInFlight bounds concurrent relay dispatches per connection
 	// (default 16). Relay dispatches run concurrently — a non-terminal hop
@@ -142,22 +113,17 @@ type downstreamState struct {
 	shed  bool      // current window caused only by sheds
 }
 
-// WithStage enables stage-server mode: MsgRelay frames run cfg.Stage,
-// MsgRelayRoute frames run route-assigned spans of cfg.Chain, and both
-// forward downstream (or terminate the chain). A server may combine a stage
-// with raw/tail models and serve all frame types; a pure relay hop passes
-// nil models to NewServer.
+// WithStage enables stage-server mode: MsgRelayRoute frames run
+// route-assigned spans of cfg.Chain and forward downstream (or terminate the
+// chain). A server may combine a stage with raw/tail models and serve all
+// frame types; a pure relay hop passes nil models to NewServer.
 func WithStage(cfg StageConfig) Option {
 	cfg.fillDefaults()
 	return func(s *Server) {
-		s.stage = cfg.Stage
 		s.chain = cfg.Chain
 		s.stageInflight = cfg.MaxInFlight
 		s.failureExcl = cfg.FailureExclusion
 		s.downs = nil
-		if cfg.Downstream != nil {
-			s.downs = append(s.downs, &downstreamState{d: cfg.Downstream})
-		}
 		for _, d := range cfg.Downstreams {
 			if d != nil {
 				s.downs = append(s.downs, &downstreamState{d: d})
@@ -166,11 +132,8 @@ func WithStage(cfg StageConfig) Option {
 	}
 }
 
-// stageForward runs the static stage on an NCHW activation batch in eval mode.
-func (s *Server) stageForward(x *tensor.Tensor) *tensor.Tensor { return s.stage.Forward(x, false) }
-
 // stageMode reports whether this server serves relay frames at all.
-func (s *Server) stageMode() bool { return s.stage != nil || len(s.chain) > 0 }
+func (s *Server) stageMode() bool { return len(s.chain) > 0 }
 
 // timedStageForward runs one relay forward pass and folds its duration into
 // the service-time EWMA, normalized by how many relay dispatches shared the
@@ -334,125 +297,6 @@ func (s *Server) chainReply(id uint64, results []protocol.Result, used Downstrea
 	}
 }
 
-// relayFrame serves one MsgRelay frame: a zero-instance probe traverses the
-// chain without running any stage; an activation batch runs the static stage,
-// then either terminates the chain or forwards downstream with failover.
-// Reached only in stage mode (dispatch answers MsgError otherwise, the
-// legacy-server contract).
-func (s *Server) relayFrame(f protocol.Frame) protocol.Frame {
-	if protocol.IsRelayProbe(f.Payload) {
-		ttl, _ := protocol.DecodeRelayProbe(f.Payload)
-		return s.probeFrame(f.ID, ttl)
-	}
-	if s.stage == nil {
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, "static relay not supported by this hop (source-routed chain; send MsgRelayRoute)")
-	}
-	ttl, t, err := protocol.DecodeActivation(f.Payload)
-	if err != nil {
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, err.Error())
-	}
-	if t.Dims() != 4 {
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, fmt.Sprintf("expected NCHW activation tensor, got rank %d", t.Dims()))
-	}
-	if len(s.downs) > 0 && ttl == 0 {
-		// The TTL guards against relay cycles (a chain misconfigured into a
-		// loop would otherwise circulate frames forever): refuse to forward
-		// rather than decrement below zero.
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, "relay TTL exhausted (chain cycle or more hops than the sender allowed)")
-	}
-	n := t.Dim(0)
-	out, err := s.timedStageForward(s.stageForward, t, n)
-	if err != nil {
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, err.Error())
-	}
-	if len(s.downs) == 0 {
-		// Terminal hop: identical post-processing to classifyBatchFrame, so a
-		// chained forward answers bitwise like the monolithic server would.
-		results := make([]protocol.Result, n)
-		for i := range results {
-			pred, conf := argmaxRow(out.Row(i))
-			results[i] = protocol.Result{Pred: int32(pred), Conf: conf}
-		}
-		s.instServed.Add(uint64(n))
-		return s.chainReply(f.ID, results, nil, nil)
-	}
-	var results []protocol.Result
-	var downHops []protocol.StageStatus
-	used, shed, retryAfter, err := s.tryDownstreams(func(d Downstream) error {
-		if ds, ok := d.(downstreamStatus); ok {
-			rs, hs, aerr := ds.RelayActivationsStatus(out, ttl-1)
-			if aerr != nil {
-				return aerr
-			}
-			results, downHops = rs, hs
-			return nil
-		}
-		rs, aerr := d.RelayActivations(out, ttl-1)
-		if aerr != nil {
-			return aerr
-		}
-		results, downHops = rs, nil
-		return nil
-	})
-	if err != nil {
-		if shed {
-			// Every reachable next hop refused by admission control: the
-			// refusal — not a failure — propagates upstream as MsgShed so the
-			// edge takes its zero-charge hold instead of charging a retry.
-			return s.shedFrame(f.ID, retryAfter)
-		}
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, fmt.Sprintf("downstream relay: %v", err))
-	}
-	if len(results) != n {
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, fmt.Sprintf("downstream returned %d results for %d instances", len(results), n))
-	}
-	s.relayed.Add(uint64(n))
-	return s.chainReply(f.ID, results, used, downHops)
-}
-
-// probeFrame serves a zero-instance chain probe: no stage runs; a terminal
-// hop answers an empty result batch carrying its own status, a forwarding hop
-// relays the probe downstream (with failover) and prepends its status — so
-// one probe verifies every transport leg and returns the full per-hop
-// telemetry vector.
-func (s *Server) probeFrame(id uint64, ttl uint8) protocol.Frame {
-	if len(s.downs) == 0 {
-		return s.chainReply(id, nil, nil, nil)
-	}
-	if ttl == 0 {
-		s.errorCount.Add(1)
-		return errorFrame(id, "relay TTL exhausted (chain cycle or more hops than the sender allowed)")
-	}
-	var downHops []protocol.StageStatus
-	used, shed, retryAfter, err := s.tryDownstreams(func(d Downstream) error {
-		dp, ok := d.(downstreamProbe)
-		if !ok {
-			return errors.New("downstream transport does not support chain probes")
-		}
-		hs, aerr := dp.RelayProbe(ttl - 1)
-		if aerr != nil {
-			return aerr
-		}
-		downHops = hs
-		return nil
-	})
-	if err != nil {
-		if shed {
-			return s.shedFrame(id, retryAfter)
-		}
-		s.errorCount.Add(1)
-		return errorFrame(id, fmt.Sprintf("downstream relay: %v", err))
-	}
-	return s.chainReply(id, nil, used, downHops)
-}
-
 // spanForward composes a chain unit span in eval mode.
 func spanForward(units []nn.Layer) func(*tensor.Tensor) *tensor.Tensor {
 	return func(x *tensor.Tensor) *tensor.Tensor {
@@ -468,13 +312,14 @@ func spanForward(units []nn.Layer) func(*tensor.Tensor) *tensor.Tensor {
 // when no boundaries remain, terminate the chain for THIS frame. The cuts
 // travel with the frame, so two frames on the same connection may run
 // different spans here: exactly what a live cut move looks like mid-drain.
+// A probe (no tensor body) follows the same route without running a unit.
 func (s *Server) routedFrame(f protocol.Frame) protocol.Frame {
-	ttl, pos, bounds, t, err := protocol.DecodeRoutedActivation(f.Payload)
+	pos, bounds, t, err := protocol.DecodeRoutedActivation(f.Payload)
 	if err != nil {
 		s.errorCount.Add(1)
 		return errorFrame(f.ID, err.Error())
 	}
-	if t.Dims() < 2 {
+	if t != nil && t.Dims() < 2 {
 		// Routed cuts may sit past the flattening layers, so rank-2
 		// [batch, features] activations are as legal as NCHW here — the only
 		// requirement is a batch dimension to count instances by.
@@ -492,17 +337,16 @@ func (s *Server) routedFrame(f protocol.Frame) protocol.Frame {
 		s.errorCount.Add(1)
 		return errorFrame(f.ID, fmt.Sprintf("route boundary %d past serving chain of %d units", bounds[len(bounds)-1], L))
 	}
+	if len(bounds) > 0 && len(s.downs) == 0 {
+		s.errorCount.Add(1)
+		return errorFrame(f.ID, fmt.Sprintf("route continues past this hop (%d boundaries left) but no downstream is configured", len(bounds)))
+	}
+	if t == nil {
+		return s.probeFrame(f.ID, bounds)
+	}
 	next := L
 	if len(bounds) > 0 {
 		next = bounds[0]
-		if ttl == 0 {
-			s.errorCount.Add(1)
-			return errorFrame(f.ID, "relay TTL exhausted (chain cycle or more hops than the sender allowed)")
-		}
-		if len(s.downs) == 0 {
-			s.errorCount.Add(1)
-			return errorFrame(f.ID, fmt.Sprintf("route continues past this hop (%d boundaries left) but no downstream is configured", len(bounds)))
-		}
 	}
 	n := t.Dim(0)
 	out, err := s.timedStageForward(spanForward(s.chain[pos:next]), t, n)
@@ -511,6 +355,8 @@ func (s *Server) routedFrame(f protocol.Frame) protocol.Frame {
 		return errorFrame(f.ID, err.Error())
 	}
 	if len(bounds) == 0 {
+		// Terminal hop: identical post-processing to classifyBatchFrame, so a
+		// chained forward answers bitwise like the monolithic server would.
 		results := make([]protocol.Result, n)
 		for i := range results {
 			pred, conf := argmaxRow(out.Row(i))
@@ -522,11 +368,7 @@ func (s *Server) routedFrame(f protocol.Frame) protocol.Frame {
 	var results []protocol.Result
 	var downHops []protocol.StageStatus
 	used, shed, retryAfter, err := s.tryDownstreams(func(d Downstream) error {
-		dr, ok := d.(downstreamRouted)
-		if !ok {
-			return errors.New("downstream transport does not support routed relay")
-		}
-		rs, hs, aerr := dr.RelayRouted(out, ttl-1, bounds[0], bounds[1:])
+		rs, hs, aerr := d.RelayRouted(out, bounds[0], bounds[1:])
 		if aerr != nil {
 			return aerr
 		}
@@ -534,11 +376,7 @@ func (s *Server) routedFrame(f protocol.Frame) protocol.Frame {
 		return nil
 	})
 	if err != nil {
-		if shed {
-			return s.shedFrame(f.ID, retryAfter)
-		}
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, fmt.Sprintf("downstream relay: %v", err))
+		return s.downstreamFailure(f.ID, shed, retryAfter, err)
 	}
 	if len(results) != n {
 		s.errorCount.Add(1)
@@ -546,4 +384,41 @@ func (s *Server) routedFrame(f protocol.Frame) protocol.Frame {
 	}
 	s.relayed.Add(uint64(n))
 	return s.chainReply(f.ID, results, used, downHops)
+}
+
+// probeFrame serves a zero-instance chain probe: no unit runs; a hop with no
+// boundaries left answers an empty result batch carrying its own status, a
+// forwarding hop relays the probe downstream (with failover) and prepends its
+// status — so one probe verifies every transport leg of the route and returns
+// the full per-hop telemetry vector. Like routed frames, it forwards only
+// while boundaries remain.
+func (s *Server) probeFrame(id uint64, bounds []int) protocol.Frame {
+	if len(bounds) == 0 {
+		return s.chainReply(id, nil, nil, nil)
+	}
+	var downHops []protocol.StageStatus
+	used, shed, retryAfter, err := s.tryDownstreams(func(d Downstream) error {
+		hs, aerr := d.RelayProbe(bounds[0], bounds[1:])
+		if aerr != nil {
+			return aerr
+		}
+		downHops = hs
+		return nil
+	})
+	if err != nil {
+		return s.downstreamFailure(id, shed, retryAfter, err)
+	}
+	return s.chainReply(id, nil, used, downHops)
+}
+
+// downstreamFailure answers a frame no downstream would serve. When every
+// reachable next hop refused by admission control, the refusal — not a
+// failure — propagates upstream as MsgShed so the edge takes its zero-charge
+// hold instead of charging a retry; anything else is a downstream error.
+func (s *Server) downstreamFailure(id uint64, shed bool, retryAfter time.Duration, err error) protocol.Frame {
+	if shed {
+		return s.shedFrame(id, retryAfter)
+	}
+	s.errorCount.Add(1)
+	return errorFrame(id, fmt.Sprintf("downstream relay: %v", err))
 }

@@ -15,10 +15,14 @@ import (
 	"github.com/meanet/meanet/internal/tensor"
 )
 
+// identityChain is a two-unit serving chain whose spans change nothing: the
+// failover tests route frames [0,1) here and forward [1,2) downstream.
+var identityChain = []nn.Layer{nn.Identity{}, nn.Identity{}}
+
 // startStageServer brings up one stage hop on loopback.
-func startStageServer(t *testing.T, stage nn.Layer, down Downstream) *Server {
+func startStageServer(t *testing.T, chain []nn.Layer, downs ...Downstream) *Server {
 	t.Helper()
-	s, err := NewServer(nil, nil, WithStage(StageConfig{Stage: stage, Downstream: down}))
+	s, err := NewServer(nil, nil, WithStage(StageConfig{Chain: chain, Downstreams: downs}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,17 +53,13 @@ func TestStageChainMatchesMonolithic(t *testing.T) {
 	if len(chain) < 3 {
 		t.Fatalf("test chain too short to cut: %d units", len(chain))
 	}
-	stages, err := core.Partition(chain, []core.CutPoint{core.CutPoint(len(chain) / 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	terminal := startStageServer(t, stages[1], nil)
-	first := startStageServer(t, stages[0], dialHop(t, terminal))
+	terminal := startStageServer(t, chain)
+	first := startStageServer(t, chain, dialHop(t, terminal))
 	client := dialHop(t, first)
 
 	rng := rand.New(rand.NewSource(42))
 	batch := tensor.Randn(rng, 1, 4, 3, 8, 8)
-	rs, err := client.RelayActivations(batch, 4)
+	rs, _, err := client.RelayRouted(batch, 0, []int{len(chain) / 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,30 +86,64 @@ func TestStageChainMatchesMonolithic(t *testing.T) {
 	}
 }
 
-// TestRelayTTLExhausted drives a frame whose hop budget runs out at a
-// non-terminal hop: the chain must answer with an error instead of
-// forwarding — the cycle guard.
-func TestRelayTTLExhausted(t *testing.T) {
+// lateDown is a Downstream whose transport is dialed after the server that
+// forwards through it was built, so two hops can name each other.
+type lateDown struct {
+	c atomic.Pointer[edge.TCPClient]
+}
+
+func (d *lateDown) RelayRouted(batch *tensor.Tensor, pos int, bounds []int) ([]protocol.Result, []protocol.StageStatus, error) {
+	return d.c.Load().RelayRouted(batch, pos, bounds)
+}
+
+func (d *lateDown) RelayProbe(pos int, bounds []int) ([]protocol.StageStatus, error) {
+	return d.c.Load().RelayProbe(pos, bounds)
+}
+
+// TestRelayCyclicHopsTerminate is the hop-count guard: two hops configured
+// as EACH OTHER's downstream form a cycle, yet a frame still crosses exactly
+// len(bounds)+1 hops — every hop consumes one strictly increasing boundary —
+// and answers bitwise like the monolithic forward.
+func TestRelayCyclicHopsTerminate(t *testing.T) {
 	cls := testClassifier(t, 43)
 	chain := core.FlattenChain(cls.Backbone, cls.Exit)
-	stages, err := core.Partition(chain, []core.CutPoint{1})
+	if len(chain) < 4 {
+		t.Fatalf("test chain too short for 4 hops: %d units", len(chain))
+	}
+	toA, toB := &lateDown{}, &lateDown{}
+	a := startStageServer(t, chain, toB)
+	b := startStageServer(t, chain, toA)
+	toA.c.Store(dialHop(t, a))
+	toB.c.Store(dialHop(t, b))
+	client := dialHop(t, a)
+
+	rng := rand.New(rand.NewSource(44))
+	batch := tensor.Randn(rng, 1, 2, 3, 8, 8)
+	L := len(chain)
+	rs, hops, err := client.RelayRouted(batch, 0, []int{L / 4, L / 2, 3 * L / 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	terminal := startStageServer(t, stages[1], nil)
-	first := startStageServer(t, stages[0], dialHop(t, terminal))
-	client := dialHop(t, first)
-
-	rng := rand.New(rand.NewSource(44))
-	batch := tensor.Randn(rng, 1, 1, 3, 8, 8)
-	if _, err := client.RelayActivations(batch, 0); err == nil || !strings.Contains(err.Error(), "TTL exhausted") {
-		t.Fatalf("ttl=0 through a non-terminal hop: %v", err)
+	if len(hops) != 4 {
+		t.Fatalf("frame crossed %d hops, want 4 (A, B, A, B)", len(hops))
 	}
-	// A terminal hop needs no hop budget: ttl=0 straight at it still serves.
-	direct := dialHop(t, terminal)
-	mid := stages[0].Forward(batch, false)
-	if _, err := direct.RelayActivations(mid, 0); err != nil {
-		t.Fatalf("ttl=0 at the terminal hop refused: %v", err)
+	logits := cls.Logits(batch, false)
+	for i, r := range rs {
+		p, c := argmaxRow(logits.Row(i))
+		if r.Pred != int32(p) || r.Conf != c {
+			t.Fatalf("row %d: cyclic chain gave %d/%v, monolithic %d/%v", i, r.Pred, r.Conf, p, c)
+		}
+	}
+	// A forwarded twice, B forwarded once and then terminated the frame.
+	if st := a.Stats(); st.Relayed != 4 || st.InstancesServed != 0 {
+		t.Fatalf("hop A stats %+v", st)
+	}
+	if st := b.Stats(); st.Relayed != 2 || st.InstancesServed != 2 {
+		t.Fatalf("hop B stats %+v", st)
+	}
+	// A probe along the same route stops after the same four hops.
+	if hops, err := client.RelayProbe(0, []int{L / 4, L / 2, 3 * L / 4}); err != nil || len(hops) != 4 {
+		t.Fatalf("cyclic probe: %d hops, err %v (want 4, nil)", len(hops), err)
 	}
 }
 
@@ -118,65 +152,62 @@ func TestRelayTTLExhausted(t *testing.T) {
 // crash, not a hang) and keeps the connection serving relays.
 func TestStageOnlyServerRejectsClassify(t *testing.T) {
 	cls := testClassifier(t, 45)
-	chain := core.FlattenChain(cls.Backbone, cls.Exit)
-	stages, err := core.Partition(chain, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := startStageServer(t, stages[0], nil)
+	s := startStageServer(t, core.FlattenChain(cls.Backbone, cls.Exit))
 	client := dialHop(t, s)
 	rng := rand.New(rand.NewSource(46))
 	img := tensor.Randn(rng, 1, 3, 8, 8)
 	if _, _, err := client.Classify(img); err == nil || !strings.Contains(err.Error(), "raw mode not supported") {
 		t.Fatalf("stage-only server served a raw classify: %v", err)
 	}
-	if _, err := client.RelayActivations(img.Reshape(1, 3, 8, 8), 1); err != nil {
+	if _, _, err := client.RelayRouted(img.Reshape(1, 3, 8, 8), 0, nil); err != nil {
 		t.Fatalf("relay broken after rejected classify: %v", err)
 	}
 }
 
-// TestRelayRejectsMalformedPayloads: garbage payloads and non-NCHW tensors
+// TestRelayRejectsMalformedPayloads: garbage payloads and unbatched tensors
 // get error frames; the connection survives.
 //
 // meanet:frame-writer
 func TestRelayRejectsMalformedPayloads(t *testing.T) {
 	cls := testClassifier(t, 47)
-	chain := core.FlattenChain(cls.Backbone, cls.Exit)
-	stages, err := core.Partition(chain, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := startStageServer(t, stages[0], nil)
+	s := startStageServer(t, core.FlattenChain(cls.Backbone, cls.Exit))
 	client := dialHop(t, s)
 
 	rng := rand.New(rand.NewSource(48))
-	chw := tensor.Randn(rng, 1, 3, 8, 8) // rank 3 — client itself must refuse
-	if _, err := client.RelayActivations(chw, 1); err == nil {
-		t.Fatal("client relayed a non-NCHW tensor")
+	flat := tensor.Randn(rng, 1, 6) // rank 1 — client itself must refuse
+	if _, _, err := client.RelayRouted(flat, 0, nil); err == nil {
+		t.Fatal("client relayed an unbatched tensor")
 	}
 	// The server-side rank check needs a hand-built frame.
-	f := protocol.Frame{
-		Type:    protocol.MsgRelay,
-		ID:      7,
-		Payload: protocol.EncodeActivation(1, tensor.Randn(rng, 1, 2, 3)),
+	payload, err := protocol.EncodeRoutedActivation(0, nil, flat)
+	if err != nil {
+		t.Fatal(err)
 	}
-	resp := s.dispatch(f)
-	if resp.Type != protocol.MsgError || !strings.Contains(string(resp.Payload), "NCHW") {
-		t.Fatalf("rank-3 activation answered with %s %q", resp.Type, resp.Payload)
+	resp := s.dispatch(protocol.Frame{Type: protocol.MsgRelayRoute, ID: 7, Payload: payload})
+	if resp.Type != protocol.MsgError || !strings.Contains(string(resp.Payload), "batched") {
+		t.Fatalf("rank-1 activation answered with %s %q", resp.Type, resp.Payload)
 	}
-	if resp := s.dispatch(protocol.Frame{Type: protocol.MsgRelay, ID: 8, Payload: []byte{1, 2}}); resp.Type != protocol.MsgError {
+	if resp := s.dispatch(protocol.Frame{Type: protocol.MsgRelayRoute, ID: 8, Payload: []byte{1, 2}}); resp.Type != protocol.MsgError {
 		t.Fatalf("garbage relay payload answered with %s", resp.Type)
+	}
+	if _, _, err := client.RelayRouted(tensor.Randn(rng, 1, 1, 3, 8, 8), 0, nil); err != nil {
+		t.Fatalf("relay broken after rejected payloads: %v", err)
 	}
 }
 
-// In-process fake downstreams for the failover and shed-propagation tests.
-// They implement only the base Downstream interface — the failover machinery
-// must work against a minimal transport.
+// In-process fake downstreams for the failover and shed-propagation tests:
+// the failover machinery must work against a minimal transport with no link
+// estimate. Probes behave like relays.
 
 // failingDown fails every attempt at the transport level.
 type failingDown struct{ calls atomic.Int64 }
 
-func (d *failingDown) RelayActivations(*tensor.Tensor, uint8) ([]protocol.Result, error) {
+func (d *failingDown) RelayRouted(*tensor.Tensor, int, []int) ([]protocol.Result, []protocol.StageStatus, error) {
+	_, err := d.RelayProbe(0, nil)
+	return nil, nil, err
+}
+
+func (d *failingDown) RelayProbe(int, []int) ([]protocol.StageStatus, error) {
 	d.calls.Add(1)
 	return nil, errors.New("dial tcp: connection refused (test stand-in)")
 }
@@ -187,7 +218,12 @@ type sheddingDown struct {
 	calls atomic.Int64
 }
 
-func (d *sheddingDown) RelayActivations(*tensor.Tensor, uint8) ([]protocol.Result, error) {
+func (d *sheddingDown) RelayRouted(*tensor.Tensor, int, []int) ([]protocol.Result, []protocol.StageStatus, error) {
+	_, err := d.RelayProbe(0, nil)
+	return nil, nil, err
+}
+
+func (d *sheddingDown) RelayProbe(int, []int) ([]protocol.StageStatus, error) {
 	d.calls.Add(1)
 	return nil, &edge.ShedError{RetryAfter: d.retry}
 }
@@ -195,19 +231,25 @@ func (d *sheddingDown) RelayActivations(*tensor.Tensor, uint8) ([]protocol.Resul
 // okDown terminates the chain in-process with zeroed results.
 type okDown struct{ calls atomic.Int64 }
 
-func (d *okDown) RelayActivations(batch *tensor.Tensor, _ uint8) ([]protocol.Result, error) {
+func (d *okDown) RelayRouted(batch *tensor.Tensor, _ int, _ []int) ([]protocol.Result, []protocol.StageStatus, error) {
 	d.calls.Add(1)
-	return make([]protocol.Result, batch.Dim(0)), nil
+	return make([]protocol.Result, batch.Dim(0)), nil, nil
 }
 
-// relayBatch hand-builds a one-instance static relay frame for dispatch-level
-// failover tests.
+func (d *okDown) RelayProbe(int, []int) ([]protocol.StageStatus, error) {
+	d.calls.Add(1)
+	return nil, nil
+}
+
+// relayBatch hand-builds a one-instance routed frame that runs unit 0 of
+// identityChain here and forwards the rest, for dispatch-level failover
+// tests.
 func relayBatch(rng *rand.Rand, id uint64) protocol.Frame {
-	return protocol.Frame{
-		Type:    protocol.MsgRelay,
-		ID:      id,
-		Payload: protocol.EncodeActivation(4, tensor.Randn(rng, 1, 1, 3, 8, 8)),
+	payload, err := protocol.EncodeRoutedActivation(0, []int{1}, tensor.Randn(rng, 1, 1, 3, 8, 8))
+	if err != nil {
+		panic(err)
 	}
+	return protocol.Frame{Type: protocol.MsgRelayRoute, ID: id, Payload: payload}
 }
 
 // TestRelaySlotReleasedOnDownstreamError pins the MaxInFlight accounting on
@@ -219,8 +261,8 @@ func relayBatch(rng *rand.Rand, id uint64) protocol.Frame {
 func TestRelaySlotReleasedOnDownstreamError(t *testing.T) {
 	down := &failingDown{}
 	s, err := NewServer(nil, nil, WithStage(StageConfig{
-		Stage:       nn.Identity{},
-		Downstream:  down,
+		Chain:       identityChain,
+		Downstreams: []Downstream{down},
 		MaxInFlight: 1,
 		// Keep the dead downstream in a permanent exclusion window so every
 		// frame exercises the last-resort retry path too.
@@ -242,7 +284,7 @@ func TestRelaySlotReleasedOnDownstreamError(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	batch := tensor.Randn(rng, 1, 1, 3, 8, 8)
 	for i := 0; i < 3; i++ {
-		_, err := client.RelayActivations(batch, 4)
+		_, _, err := client.RelayRouted(batch, 0, []int{1})
 		if err == nil || !strings.Contains(err.Error(), "downstream relay") {
 			t.Fatalf("relay %d: want the downstream error surfaced promptly, got %v", i, err)
 		}
@@ -260,7 +302,7 @@ func TestRelaySlotReleasedOnDownstreamError(t *testing.T) {
 func TestDownstreamShedPropagatesAsShed(t *testing.T) {
 	const hint = 40 * time.Millisecond
 	down := &sheddingDown{retry: hint}
-	s, err := NewServer(nil, nil, WithStage(StageConfig{Stage: nn.Identity{}, Downstream: down}))
+	s, err := NewServer(nil, nil, WithStage(StageConfig{Chain: identityChain, Downstreams: []Downstream{down}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +317,7 @@ func TestDownstreamShedPropagatesAsShed(t *testing.T) {
 	defer client.Close()
 
 	rng := rand.New(rand.NewSource(50))
-	_, err = client.RelayActivations(tensor.Randn(rng, 1, 1, 3, 8, 8), 4)
+	_, _, err = client.RelayRouted(tensor.Randn(rng, 1, 1, 3, 8, 8), 0, []int{1})
 	if !errors.Is(err, edge.ErrShed) {
 		t.Fatalf("downstream shed surfaced as a non-shed error: %v", err)
 	}
@@ -297,7 +339,7 @@ func TestDownstreamFailoverOrderAndExclusion(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	bad, good := &failingDown{}, &okDown{}
 	s, err := NewServer(nil, nil, WithStage(StageConfig{
-		Stage:            nn.Identity{},
+		Chain:            identityChain,
 		Downstreams:      []Downstream{bad, good},
 		FailureExclusion: time.Hour, // window must outlive the test
 	}))
@@ -328,7 +370,7 @@ func TestDownstreamFailoverOrderAndExclusion(t *testing.T) {
 	// and BOTH entries were offered the frame before the hop gave up.
 	shedA, shedB := &sheddingDown{retry: 30 * time.Millisecond}, &sheddingDown{retry: 70 * time.Millisecond}
 	s2, err := NewServer(nil, nil, WithStage(StageConfig{
-		Stage:       nn.Identity{},
+		Chain:       identityChain,
 		Downstreams: []Downstream{shedA, shedB},
 	}))
 	if err != nil {
@@ -352,7 +394,7 @@ func TestDownstreamFailoverOrderAndExclusion(t *testing.T) {
 	// Mixed shed + transport failure is NOT all-shed: the hop must report an
 	// error (something is actually broken), not a hold.
 	s3, err := NewServer(nil, nil, WithStage(StageConfig{
-		Stage:       nn.Identity{},
+		Chain:       identityChain,
 		Downstreams: []Downstream{&sheddingDown{retry: 10 * time.Millisecond}, &failingDown{}},
 	}))
 	if err != nil {
@@ -369,7 +411,30 @@ func TestNewServerStageOnly(t *testing.T) {
 	if _, err := NewServer(nil, nil); err == nil {
 		t.Fatal("model-less, stage-less server accepted")
 	}
-	if _, err := NewServer(nil, nil, WithStage(StageConfig{Stage: nn.Identity{}})); err != nil {
+	if _, err := NewServer(nil, nil, WithStage(StageConfig{Chain: identityChain})); err != nil {
 		t.Fatalf("stage-only server rejected: %v", err)
+	}
+}
+
+// TestRelayProbeNeverShed: a saturated hop sheds routed activations but still
+// answers chain probes — health checks must work when the hop is busiest.
+func TestRelayProbeNeverShed(t *testing.T) {
+	s, err := NewServer(nil, nil, WithStage(StageConfig{Chain: identityChain}), WithShedding(ShedPolicy{MaxInFlight: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	client := dialHop(t, s)
+	s.inflight.Store(1) // saturated: every frame carrying work is shed
+
+	rng := rand.New(rand.NewSource(52))
+	if _, _, err := client.RelayRouted(tensor.Randn(rng, 1, 1, 3, 8, 8), 0, nil); !errors.Is(err, edge.ErrShed) {
+		t.Fatalf("saturated hop answered a routed activation with %v, want a shed", err)
+	}
+	if hops, err := client.RelayProbe(0, nil); err != nil || len(hops) != 1 {
+		t.Fatalf("saturated hop probe: %d hops, err %v (want 1, nil)", len(hops), err)
 	}
 }

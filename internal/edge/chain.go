@@ -2,35 +2,33 @@ package edge
 
 // ChainClient drives a multi-hop partitioned deployment (core.Partition)
 // from the edge: it runs stage 0 of the serving chain locally — or ships the
-// raw input when the placement assigns the edge no compute — and relays the
-// activations to the first stage server, which forwards hop by hop until the
-// terminal hop's results come back along the chain. It implements
-// CloudClient, so the edge runtime, the fleet harness and BatchOffload
-// consume a chain exactly like a single cloud server.
+// raw input when the placement assigns the edge no compute (cuts[0] == 0) —
+// and relays the activations to the first stage server, which forwards hop by
+// hop until the terminal hop's results come back along the chain. It
+// implements CloudClient, so the edge runtime, the fleet harness and
+// BatchOffload consume a chain exactly like a single cloud server.
 //
-// Two chain flavours:
+// Every chain is source-routed: every hop holds the full serving chain and
+// each frame carries its own cut chain (MsgRelayRoute). A fixed chain is just
+// one whose cuts never move. The client may MOVE the cuts mid-run — new
+// frames ship the new route while in-flight frames complete on the old one
+// (drain-never-abort, the PR 8 template), with bitwise-identical predictions
+// either way because core.Partition is exact for every legal cut chain. With
+// Replan enabled the client re-solves placement periodically from MEASURED
+// conditions: the transport's linkest estimate for the first hop, and the
+// per-hop service-time/link telemetry piggybacked on every relay reply.
 //
-//   - STATIC (NewChainClient): the hops' stages live in server config and
-//     frames carry only activations (MsgRelay). The cuts are fixed for the
-//     client's lifetime.
-//   - ROUTED (NewRoutedChainClient): every hop holds the full serving chain
-//     and each frame carries its own cut chain (MsgRelayRoute). The client
-//     may MOVE the cuts mid-run — new frames ship the new route while
-//     in-flight frames complete on the old one (drain-never-abort, the PR 8
-//     template), with bitwise-identical predictions either way because
-//     core.Partition is exact for every legal cut chain. With Replan enabled
-//     the client re-solves placement periodically from MEASURED conditions:
-//     the transport's linkest estimate for the first hop, and the per-hop
-//     service-time/link telemetry piggybacked on every relay reply.
-//
-// Degraded mode (both flavours): when the chain fails mid-hop — transport
-// death, a dead hop, a shed storm — the client falls back to DIRECT offload
-// of the original raw batch through an optional direct replica, with exact
-// per-path accounting in ChainStats. Without a direct replica the error (or
-// shed) surfaces to the caller, whose own fallback is the all-edge path (the
-// runtime counts it as a CloudFailure and serves locally). Edge throughput
-// therefore degrades to the direct-offload (or all-edge) baseline, never to
-// zero.
+// Degraded mode: when the chain fails mid-hop — transport death, a dead hop,
+// a shed storm — the client falls back to DIRECT offload of the original raw
+// batch through an optional direct replica, with exact per-path accounting in
+// ChainStats. After a chain failure the client keeps sending batches straight
+// to the direct replica for chainRetryWindow before it tries the chain again,
+// so a known-broken chain does not cost every batch a local stage, the
+// upstream hops' stages and a failed round trip. Without a direct replica the
+// error (or shed) surfaces to the caller, whose own fallback is the all-edge
+// path (the runtime counts it as a CloudFailure and serves locally). Edge
+// throughput therefore degrades to the direct-offload (or all-edge)
+// baseline, never to zero.
 
 import (
 	"errors"
@@ -49,10 +47,10 @@ import (
 	"github.com/meanet/meanet/internal/tensor"
 )
 
-// DefaultRelayTTL is the hop budget a chain client stamps on relay frames
-// when the caller does not pin one: far above any sane chain length, so it
-// only ever trips on a misconfigured relay cycle.
-const DefaultRelayTTL = 16
+// chainRetryWindow is how long a chain that failed (in transport or on a
+// hop; sheds do not count) is bypassed for the direct replica before the next
+// batch tries it again.
+const chainRetryWindow = 250 * time.Millisecond
 
 // Replan defaults.
 const (
@@ -77,8 +75,9 @@ type ChainStats struct {
 	ChainCalls     uint64
 	ChainInstances uint64
 	// FallbackCalls/FallbackInstances count batches served by the direct
-	// replica after the chain failed or shed. Chain + fallback + the
-	// caller's own edge fallback partition the total exactly.
+	// replica after the chain failed or shed, or while a failed chain waits
+	// out its retry window. Chain + fallback + the caller's own edge
+	// fallback partition the total exactly.
 	FallbackCalls     uint64
 	FallbackInstances uint64
 	// ChainFailures counts relay round trips that failed in transport or on
@@ -89,7 +88,7 @@ type ChainStats struct {
 	DirectFailures uint64
 	// CutMoves counts live re-placements that changed the cut chain.
 	CutMoves uint64
-	// Cuts is the current cut chain (routed mode; nil for static chains).
+	// Cuts is the current cut chain.
 	Cuts []core.CutPoint
 	// Hops is the cloud hop count most recently observed on a relay reply.
 	Hops int
@@ -135,12 +134,10 @@ type ChainConfig struct {
 	// Chain is the full serving chain at unit granularity
 	// (core.FlattenChain) — the SAME chain every hop was configured with.
 	Chain []nn.Layer
-	// Cuts is the initial cut chain: cuts[0] units run on the edge, each
-	// later boundary starts the next hop's span. Strictly increasing,
-	// len(cuts) = number of cloud hops.
+	// Cuts is the initial cut chain: cuts[0] units run on the edge (0 = ship
+	// the raw input), each later boundary starts the next hop's span.
+	// Strictly increasing, len(cuts) = number of cloud hops.
 	Cuts []core.CutPoint
-	// TTL bounds the chain length (0 selects DefaultRelayTTL).
-	TTL uint8
 	// MaxLocal caps how many chain units a re-solve may assign to the edge
 	// (default len(Chain)-1: every placement must leave the cloud hops at
 	// least one unit each anyway). The cap is what keeps the solver from
@@ -159,24 +156,25 @@ type ChainConfig struct {
 // ChainClient is the edge endpoint of a stage chain.
 type ChainClient struct {
 	next *TCPClient // transport to the first stage server
-	ttl  uint8      // hop budget stamped on every relay frame
 
-	// Routed mode (nil chain = static mode). chain, costs and maxLocal are
-	// fixed at construction.
+	// chain, costs, maxLocal and replan are fixed at construction.
 	chain    []nn.Layer
 	costs    []profile.Cost // per-unit costs (profile.ChainCosts at build)
 	maxLocal int
 	replan   ReplanConfig
 
-	mu sync.Mutex // guards cuts, local, direct, stats, localSvcEWMA, localSvcSamples, hopStats, hopSamples, lastReplan
-	// cuts is the CURRENT route (routed mode; replaced wholesale on a move —
-	// snapshots taken under mu stay valid for the frames already carrying
-	// them, which is the whole drain-never-abort trick).
+	mu sync.Mutex // guards cuts, local, direct, retryAt, stats, localSvcEWMA, localSvcSamples, hopStats, hopSamples, lastReplan
+	// cuts is the CURRENT route (replaced wholesale on a move — snapshots
+	// taken under mu stay valid for the frames already carrying them, which
+	// is the whole drain-never-abort trick).
 	cuts  []core.CutPoint
-	local nn.Layer // current stage 0; nil = ship the raw input
+	local nn.Layer // current stage 0; nil = ship the raw input (cuts[0] == 0)
 	// direct is the degraded-mode fallback replica (nil = none).
 	direct CloudClient
-	stats  ChainStats
+	// retryAt ends the current chain retry window: until then, batches go
+	// straight to direct (when armed).
+	retryAt time.Time
+	stats   ChainStats
 	// localSvcEWMA tracks the measured per-instance local stage time,
 	// normalized by concurrent classify calls (localActive), feeding the
 	// edge-device rate of a re-solve.
@@ -202,20 +200,6 @@ var (
 	_ ChainReporter = (*ChainClient)(nil)
 )
 
-// NewChainClient wraps a dialed transport to the first stage server of a
-// STATIC chain. local is the edge's own stage of the chain (nil when the
-// placement puts every stage off-device); ttl bounds the chain length
-// (0 selects DefaultRelayTTL). Use SetDirect to arm the degraded mode.
-func NewChainClient(local nn.Layer, next *TCPClient, ttl uint8) (*ChainClient, error) {
-	if next == nil {
-		return nil, errors.New("edge: chain client needs a transport to the first hop")
-	}
-	if ttl == 0 {
-		ttl = DefaultRelayTTL
-	}
-	return &ChainClient{local: local, next: next, ttl: ttl}, nil
-}
-
 // NewRoutedChainClient wraps a dialed transport to the first hop of a
 // source-routed chain (every hop configured with the same full Chain).
 func NewRoutedChainClient(next *TCPClient, cfg ChainConfig) (*ChainClient, error) {
@@ -228,12 +212,9 @@ func NewRoutedChainClient(next *TCPClient, cfg ChainConfig) (*ChainClient, error
 	if len(cfg.Cuts) == 0 {
 		return nil, errors.New("edge: routed chain client needs at least one cut (one cloud hop)")
 	}
-	stages, err := core.Partition(cfg.Chain, cfg.Cuts)
+	local, err := localStage(cfg.Chain, cfg.Cuts)
 	if err != nil {
 		return nil, fmt.Errorf("edge: routed chain: %w", err)
-	}
-	if cfg.TTL == 0 {
-		cfg.TTL = DefaultRelayTTL
 	}
 	if cfg.MaxLocal <= 0 || cfg.MaxLocal > len(cfg.Chain)-1 {
 		cfg.MaxLocal = len(cfg.Chain) - 1
@@ -244,12 +225,11 @@ func NewRoutedChainClient(next *TCPClient, cfg ChainConfig) (*ChainClient, error
 	cfg.Replan.fillDefaults()
 	c := &ChainClient{
 		next:     next,
-		ttl:      cfg.TTL,
 		chain:    cfg.Chain,
 		maxLocal: cfg.MaxLocal,
 		replan:   cfg.Replan,
 		cuts:     append([]core.CutPoint(nil), cfg.Cuts...),
-		local:    stages[0],
+		local:    local,
 		direct:   cfg.Direct,
 	}
 	if cfg.Replan.Enabled {
@@ -262,6 +242,21 @@ func NewRoutedChainClient(next *TCPClient, cfg ChainConfig) (*ChainClient, error
 		c.costs = costs
 	}
 	return c, nil
+}
+
+// localStage validates a cut chain and returns the edge's stage 0 over
+// chain[:cuts[0]] — nil when cuts[0] == 0, the placement that ships the raw
+// input (core.Partition itself only accepts cuts past position 0).
+func localStage(chain []nn.Layer, cuts []core.CutPoint) (nn.Layer, error) {
+	if cuts[0] == 0 {
+		_, err := core.Partition(chain, cuts[1:])
+		return nil, err
+	}
+	stages, err := core.Partition(chain, cuts)
+	if err != nil {
+		return nil, err
+	}
+	return stages[0], nil
 }
 
 // SetDirect arms (or swaps) the degraded-mode direct-offload fallback.
@@ -319,7 +314,11 @@ func (c *ChainClient) classifyStacked(batch *tensor.Tensor) ([]int, []float64, e
 	local := c.local
 	cuts := c.cuts
 	direct := c.direct
+	bypass := direct != nil && time.Now().Before(c.retryAt)
 	c.mu.Unlock()
+	if bypass {
+		return c.classifyDirect(direct, batch, nil)
+	}
 
 	act := batch
 	if local != nil {
@@ -331,18 +330,7 @@ func (c *ChainClient) classifyStacked(batch *tensor.Tensor) ([]int, []float64, e
 		c.noteLocalService(dur, n, active)
 	}
 
-	var rs []protocol.Result
-	var hops []protocol.StageStatus
-	var err error
-	if c.chain != nil {
-		bounds := make([]int, len(cuts)-1)
-		for i, b := range cuts[1:] {
-			bounds[i] = int(b)
-		}
-		rs, hops, err = c.next.RelayRouted(act, c.ttl, int(cuts[0]), bounds)
-	} else {
-		rs, hops, err = c.next.RelayActivationsStatus(act, c.ttl)
-	}
+	rs, hops, err := c.next.RelayRouted(act, int(cuts[0]), routeBounds(cuts))
 	if err == nil {
 		c.mu.Lock()
 		c.stats.ChainCalls++
@@ -365,15 +353,26 @@ func (c *ChainClient) classifyStacked(batch *tensor.Tensor) ([]int, []float64, e
 	// Degraded mode. A shed is a refusal, not a failure — but either way the
 	// chain is not serving this batch, so try the direct replica if one is
 	// armed; the caller's own all-edge fallback handles the rest.
-	shed := errors.Is(err, ErrShed)
-	if !shed {
+	if !errors.Is(err, ErrShed) {
 		c.mu.Lock()
 		c.stats.ChainFailures++
+		// Windows extend, never shorten: concurrent failures only push the
+		// next chain attempt out.
+		if at := time.Now().Add(chainRetryWindow); at.After(c.retryAt) {
+			c.retryAt = at
+		}
 		c.mu.Unlock()
 	}
 	if direct == nil {
 		return nil, nil, err
 	}
+	return c.classifyDirect(direct, batch, err)
+}
+
+// classifyDirect serves a batch through the degraded-mode direct replica.
+// chainErr is the chain failure that sent it here (nil while the chain waits
+// out its retry window).
+func (c *ChainClient) classifyDirect(direct CloudClient, batch *tensor.Tensor, chainErr error) ([]int, []float64, error) {
 	preds, confs, derr := directClassify(direct, batch)
 	if derr != nil {
 		c.mu.Lock()
@@ -385,13 +384,26 @@ func (c *ChainClient) classifyStacked(batch *tensor.Tensor) ([]int, []float64, e
 			// failure.
 			return nil, nil, derr
 		}
-		return nil, nil, fmt.Errorf("edge: chain failed (%v); direct fallback: %w", err, derr)
+		if chainErr == nil {
+			return nil, nil, fmt.Errorf("edge: chain in retry window; direct fallback: %w", derr)
+		}
+		return nil, nil, fmt.Errorf("edge: chain failed (%v); direct fallback: %w", chainErr, derr)
 	}
 	c.mu.Lock()
 	c.stats.FallbackCalls++
-	c.stats.FallbackInstances += uint64(n)
+	c.stats.FallbackInstances += uint64(batch.Dim(0))
 	c.mu.Unlock()
 	return preds, confs, nil
+}
+
+// routeBounds converts the boundaries after the edge's cut into the route a
+// relay frame carries.
+func routeBounds(cuts []core.CutPoint) []int {
+	bounds := make([]int, len(cuts)-1)
+	for i, b := range cuts[1:] {
+		bounds[i] = int(b)
+	}
+	return bounds
 }
 
 // directClassify ships a stacked batch through the fallback replica, using
@@ -443,7 +455,7 @@ func (c *ChainClient) spanMACs(from, to int) float64 {
 // The solve itself runs outside the lock (it enumerates C(L-1,N-1) cut
 // chains); only the snapshot and the swap hold it.
 func (c *ChainClient) maybeReplan() {
-	if c.chain == nil || !c.replan.Enabled {
+	if !c.replan.Enabled {
 		return
 	}
 	now := time.Now()
@@ -521,13 +533,9 @@ func (c *ChainClient) maybeReplan() {
 		return
 	}
 
-	stages, err := core.Partition(c.chain, solved.Cuts)
+	local, err := localStage(c.chain, solved.Cuts)
 	if err != nil {
 		return
-	}
-	var local nn.Layer
-	if int(solved.Cuts[0]) > 0 {
-		local = stages[0]
 	}
 	c.mu.Lock()
 	if !cutsEqual(c.cuts, curCuts) {
@@ -560,13 +568,17 @@ func cutsEqual(a, b []core.CutPoint) bool {
 }
 
 // ProbeChain traverses the chain end to end with a zero-instance relay
-// probe: no stage runs, every transport leg is exercised, and the healthy
-// hop count comes back from the piggybacked status vector. On failure the
-// returned hop is the 1-based index of the hop whose downstream leg broke
-// (hop 1 = the first stage server): each forwarding hop wraps the failure in
-// one "downstream relay:" layer, so the depth of the wrapping locates it.
+// probe along the current route: no stage runs, every transport leg is
+// exercised, and the healthy hop count comes back from the piggybacked
+// status vector. On failure the returned hop is the 1-based index of the hop
+// whose downstream leg broke (hop 1 = the first stage server): each
+// forwarding hop wraps the failure in one "downstream relay:" layer, so the
+// depth of the wrapping locates it.
 func (c *ChainClient) ProbeChain() (hop int, err error) {
-	hops, err := c.next.RelayProbe(c.ttl)
+	c.mu.Lock()
+	cuts := c.cuts
+	c.mu.Unlock()
+	hops, err := c.next.RelayProbe(int(cuts[0]), routeBounds(cuts))
 	if err != nil {
 		failing := strings.Count(err.Error(), "downstream relay:") + 1
 		return failing, fmt.Errorf("edge: chain probe failed at hop %d: %w", failing, err)

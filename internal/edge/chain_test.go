@@ -1,9 +1,9 @@
 package edge_test
 
 // End-to-end tests of the multi-hop chain client over real TCP: a partitioned
-// chain answers bitwise like the monolithic model, a pre-stage-mode server
-// answers relay frames with MsgError and the client survives (the MsgHello
-// legacy pattern), and the chain surfaces transport-level accounting.
+// chain answers bitwise like the monolithic model, a server without a serving
+// chain answers relay frames with MsgError and the client survives (the
+// MsgHello legacy pattern), and the chain surfaces transport-level accounting.
 
 import (
 	"math/rand"
@@ -23,22 +23,13 @@ func TestChainClientMatchesInProc(t *testing.T) {
 	if len(chain) < 4 {
 		t.Fatalf("chain too short: %d", len(chain))
 	}
-	stages, err := core.Partition(chain, []core.CutPoint{
-		core.CutPoint(len(chain) / 3), core.CutPoint(2 * len(chain) / 3),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := fleet.StartChain([]fleet.ChainHop{{Stage: stages[1]}, {Stage: stages[2]}})
+	cuts := []core.CutPoint{core.CutPoint(len(chain) / 3), core.CutPoint(2 * len(chain) / 3)}
+	ch, err := fleet.StartChain([]fleet.ChainHop{{Chain: chain}, {Chain: chain}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ch.Close()
-	next, err := edge.DialCloud(ch.Addr(), edge.DialConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := edge.NewChainClient(stages[0], next, 0)
+	client, err := ch.Dial(edge.DialConfig{}, edge.ChainConfig{Chain: chain, Cuts: cuts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,25 +74,18 @@ func TestChainClientMatchesInProc(t *testing.T) {
 	}
 }
 
-// TestChainClientNoLocalStage: with a nil local stage the client ships the
-// RAW input to hop 0 — the placement solver's "edge runs nothing" case.
+// TestChainClientNoLocalStage: with the first cut at 0 the client runs no
+// local stage and ships the RAW input to hop 0 — the placement solver's
+// "edge runs nothing" case.
 func TestChainClientNoLocalStage(t *testing.T) {
 	cls := buildCloudModel(t, 63)
 	chain := core.FlattenChain(cls.Backbone, cls.Exit)
-	stages, err := core.Partition(chain, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := fleet.StartChain([]fleet.ChainHop{{Stage: stages[0]}})
+	ch, err := fleet.StartChain([]fleet.ChainHop{{Chain: chain}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ch.Close()
-	next, err := edge.DialCloud(ch.Addr(), edge.DialConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := edge.NewChainClient(nil, next, 0)
+	client, err := ch.Dial(edge.DialConfig{}, edge.ChainConfig{Chain: chain, Cuts: []core.CutPoint{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +108,9 @@ func TestChainClientNoLocalStage(t *testing.T) {
 }
 
 // TestRelayLegacyServer pins the mixed-version contract, mirroring the
-// MsgHello pattern: a server predating stage mode answers MsgRelay with
-// MsgError, the client surfaces it as an error, and the SAME connection keeps
-// serving the frame types the server does know.
+// MsgHello pattern: a server without a serving chain answers MsgRelayRoute
+// with MsgError, the client surfaces it as an error, and the SAME connection
+// keeps serving the frame types the server does know.
 func TestRelayLegacyServer(t *testing.T) {
 	cls := buildCloudModel(t, 65)
 	srv, err := cloud.NewServer(cls, nil)
@@ -146,7 +130,7 @@ func TestRelayLegacyServer(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(66))
 	batch := tensor.Randn(rng, 1, 2, 3, 8, 8)
-	_, err = client.RelayActivations(batch, 3)
+	_, _, err = client.RelayRouted(batch, 0, nil)
 	if err == nil || !strings.Contains(err.Error(), "stage mode not supported") {
 		t.Fatalf("legacy server relay error: %v", err)
 	}
@@ -156,8 +140,27 @@ func TestRelayLegacyServer(t *testing.T) {
 	}
 }
 
-func TestNewChainClientValidation(t *testing.T) {
-	if _, err := edge.NewChainClient(nil, nil, 0); err == nil {
+func TestNewRoutedChainClientValidation(t *testing.T) {
+	if _, err := edge.NewRoutedChainClient(nil, edge.ChainConfig{}); err == nil {
 		t.Fatal("chain client without a transport accepted")
+	}
+	cls := buildCloudModel(t, 67)
+	chain := core.FlattenChain(cls.Backbone, cls.Exit)
+	ch, err := fleet.StartChain([]fleet.ChainHop{{Chain: chain}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ch.Close()
+	for _, cuts := range [][]core.CutPoint{
+		nil,                            // no cloud hop
+		{2, 2},                         // not strictly increasing
+		{0, 0},                         // a second cut at 0
+		{core.CutPoint(len(chain))},    // past the chain
+		{0, core.CutPoint(len(chain))}, // later cut past the chain
+	} {
+		if client, err := ch.Dial(edge.DialConfig{}, edge.ChainConfig{Chain: chain, Cuts: cuts}); err == nil {
+			client.Close()
+			t.Fatalf("cuts %v accepted", cuts)
+		}
 	}
 }

@@ -682,66 +682,57 @@ func (c *TCPClient) stackedRoundTrip(msgType protocol.MsgType, batch *tensor.Ten
 	}
 }
 
-// RelayActivations ships one NCHW activation batch as a MsgRelay frame into
-// a stage chain and returns the per-instance results the terminal hop sent
-// back along it. ttl bounds the remaining hop count (each hop decrements).
-// The exchange rides the same pipelined transport as every other frame —
-// many relays overlap on one connection, redial applies, and each successful
-// round trip feeds THIS hop's link estimator, which is what gives a chain
-// per-hop link estimation for free. The method also makes *TCPClient satisfy
-// cloud.Downstream, so a stage server forwards through it without adapters.
-// A legacy server (or one without a stage) answers MsgError, mirroring the
-// MsgHello contract; a shed decodes to *ShedError as usual.
-func (c *TCPClient) RelayActivations(batch *tensor.Tensor, ttl uint8) ([]protocol.Result, error) {
-	rs, _, err := c.RelayActivationsStatus(batch, ttl)
-	return rs, err
-}
-
-// RelayActivationsStatus is RelayActivations plus the per-hop StageStatus
-// vector the chain piggybacks on the reply (empty from pre-chain-status
-// servers) — the telemetry the live re-placement solver runs on.
-func (c *TCPClient) RelayActivationsStatus(batch *tensor.Tensor, ttl uint8) ([]protocol.Result, []protocol.StageStatus, error) {
-	if batch.Dims() != 4 {
-		return nil, nil, fmt.Errorf("edge: RelayActivations expects an NCHW batch, got shape %v", batch.Shape())
-	}
-	return c.relayExchange(protocol.MsgRelay, protocol.EncodeActivation(ttl, batch), batch.Dim(0), true)
-}
-
 // RelayRouted ships one activation batch as a source-routed relay frame
-// (MsgRelayRoute): the receiving hop runs chain units [pos, bounds[0]) — or
+// (MsgRelayRoute) into a stage chain and returns the per-instance results
+// the terminal hop sent back along it, plus the per-hop StageStatus vector
+// the chain piggybacks on the reply — the telemetry the live re-placement
+// solver runs on. The receiving hop runs chain units [pos, bounds[0]) — or
 // through the end of its chain when bounds is empty — and forwards the rest
 // of the route. The route travels with the frame, so the caller can change
 // cuts between calls with no server reconfiguration; in-flight frames finish
-// on the route they carry (the drain-never-abort cut move). Unlike static
-// relay, the batch is NOT required to be NCHW — a cut may sit anywhere in the
-// chain, including past the flattening layers where activations are rank-2
-// [batch, features] — only batched (rank ≥ 2, dim 0 = instances).
-func (c *TCPClient) RelayRouted(batch *tensor.Tensor, ttl uint8, pos int, bounds []int) ([]protocol.Result, []protocol.StageStatus, error) {
+// on the route they carry (the drain-never-abort cut move). A cut may sit
+// anywhere in the chain, including past the flattening layers where
+// activations are rank-2 [batch, features], so the batch need only be
+// batched (rank ≥ 2, dim 0 = instances).
+//
+// The exchange rides the same pipelined transport as every other frame —
+// many relays overlap on one connection, redial applies, and each successful
+// round trip feeds THIS hop's link estimator, which is what gives a chain
+// per-hop link estimation for free. With RelayProbe it makes *TCPClient
+// satisfy cloud.Downstream, so a stage server forwards through it without
+// adapters. A server without a serving chain answers MsgError, mirroring the
+// MsgHello contract; a shed decodes to *ShedError as usual.
+func (c *TCPClient) RelayRouted(batch *tensor.Tensor, pos int, bounds []int) ([]protocol.Result, []protocol.StageStatus, error) {
 	if batch.Dims() < 2 {
 		return nil, nil, fmt.Errorf("edge: RelayRouted expects a batched activation tensor, got shape %v", batch.Shape())
 	}
-	payload, err := protocol.EncodeRoutedActivation(ttl, pos, bounds, batch)
+	payload, err := protocol.EncodeRoutedActivation(pos, bounds, batch)
 	if err != nil {
 		return nil, nil, err
 	}
-	return c.relayExchange(protocol.MsgRelayRoute, payload, batch.Dim(0), true)
+	return c.relayExchange(payload, batch.Dim(0), true)
 }
 
-// RelayProbe ships a zero-instance chain probe: every hop forwards it without
-// running its stage and the terminal hop answers an empty result batch, so a
-// healthy return proves every transport leg of the chain and the returned
-// statuses enumerate the hops. Probes do NOT feed the link estimator — they
-// carry no payload, so their round trips would read as absurdly fast links.
-func (c *TCPClient) RelayProbe(ttl uint8) ([]protocol.StageStatus, error) {
-	_, hops, err := c.relayExchange(protocol.MsgRelay, protocol.EncodeRelayProbe(ttl), 0, false)
+// RelayProbe ships a zero-instance chain probe along a route: every hop
+// forwards it without running a unit until the boundaries run out, and that
+// hop answers an empty result batch, so a healthy return proves every
+// transport leg of the route and the returned statuses enumerate the hops.
+// Probes do NOT feed the link estimator — they carry no tensor, so their
+// round trips would read as absurdly fast links.
+func (c *TCPClient) RelayProbe(pos int, bounds []int) ([]protocol.StageStatus, error) {
+	payload, err := protocol.EncodeRoutedActivation(pos, bounds, nil)
+	if err != nil {
+		return nil, err
+	}
+	_, hops, err := c.relayExchange(payload, 0, false)
 	return hops, err
 }
 
-// relayExchange round-trips one relay-family frame and decodes the shared
-// reply shape (results + load piggyback + optional per-hop statuses).
-// observe=false skips the link estimator (probes).
-func (c *TCPClient) relayExchange(typ protocol.MsgType, payload []byte, want int, observeLink bool) ([]protocol.Result, []protocol.StageStatus, error) {
-	id, ch, writeDur, err := c.send(typ, payload)
+// relayExchange round-trips one routed relay frame and decodes the reply
+// (results + load piggyback + per-hop statuses). observeLink=false skips the
+// link estimator (probes).
+func (c *TCPClient) relayExchange(payload []byte, want int, observeLink bool) ([]protocol.Result, []protocol.StageStatus, error) {
+	id, ch, writeDur, err := c.send(protocol.MsgRelayRoute, payload)
 	if err != nil {
 		return nil, nil, err
 	}

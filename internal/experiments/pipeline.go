@@ -17,10 +17,12 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"github.com/meanet/meanet/internal/core"
 	"github.com/meanet/meanet/internal/deploy"
 	"github.com/meanet/meanet/internal/edge"
 	"github.com/meanet/meanet/internal/netsim"
 	"github.com/meanet/meanet/internal/netsim/fleet"
+	"github.com/meanet/meanet/internal/nn"
 	"github.com/meanet/meanet/internal/profile"
 	"github.com/meanet/meanet/internal/tensor"
 )
@@ -112,19 +114,20 @@ func PipelinePartition(ctx *Context) (*PipelinePartitionResult, error) {
 		Workers:   workers,
 		Instances: instances,
 	}
-	stageDelay := func(i int) time.Duration {
-		return time.Duration(pipe.Stages[i].ComputeSec * float64(time.Second))
+	// stage models solved stage i on its own device, emitting its CHW output
+	// (the last stage emits logits instead).
+	stage := func(i int) fleet.StageSpec {
+		st := pipe.Stages[i]
+		return fleet.StageSpec{
+			Delay: time.Duration(st.ComputeSec * float64(time.Second)),
+			Dims:  []int{st.Out.C, st.Out.H, st.Out.W},
+		}
 	}
-	midStage := func(i int) *fleet.SlowStage {
-		out := pipe.Stages[i].Out
-		return &fleet.SlowStage{Inner: fleet.ShapeStage{Dims: []int{out.C, out.H, out.W}}, Delay: stageDelay(i)}
-	}
-	terminalStage := func(delay time.Duration) *fleet.SlowStage {
-		return &fleet.SlowStage{Inner: fleet.ShapeStage{Dims: []int{classes}}, Delay: delay}
-	}
+	terminal := stage(2)
+	terminal.Dims = []int{classes}
 
 	// All-edge: one serialized accelerator, no network.
-	allEdge := &edge.InProcClient{Model: &fleet.SlowModel{Inner: flatModel{classes: classes}, Delay: pipelineFullCompute}}
+	allEdge := &edge.InProcClient{Model: &fleet.SlowModel{Inner: fleet.FlatModel{Classes: classes}, Delay: pipelineFullCompute}}
 	ps, err := fleet.RunChainLoad(allEdge, img, workers, instances)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: all-edge run: %w", err)
@@ -132,12 +135,9 @@ func PipelinePartition(ctx *Context) (*PipelinePartitionResult, error) {
 	res.Rows = append(res.Rows, PipelinePartitionRow{Config: "all-edge", ImagesPerSec: ps, PredictedPS: localPred.Throughput})
 
 	// Direct: raw input over the uplink to one terminal hop running the whole
-	// chain — today's -offload raw, restated as a 1-hop relay chain.
-	direct, err := fleet.StartChain([]fleet.ChainHop{{Stage: terminalStage(pipelineFullCompute)}})
-	if err != nil {
-		return nil, err
-	}
-	ps, err = measureChain(direct, nil, pipelineUplink, img, workers, instances)
+	// chain — today's -offload raw, restated as a 1-hop relay chain cut at 0.
+	direct := fleet.SyntheticChain(fleet.StageSpec{Delay: pipelineFullCompute, Dims: []int{classes}})
+	ps, err = measureChain(direct, []core.CutPoint{0}, img, workers, instances)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: direct run: %w", err)
 	}
@@ -145,14 +145,8 @@ func PipelinePartition(ctx *Context) (*PipelinePartitionResult, error) {
 
 	// Pipeline: the solver's placement — stage 0 on the edge, stage 1 behind
 	// the uplink, stage 2 behind the interlink.
-	pipeline, err := fleet.StartChain([]fleet.ChainHop{
-		{Stage: midStage(1), Link: pipelineInterlink},
-		{Stage: terminalStage(stageDelay(2))},
-	})
-	if err != nil {
-		return nil, err
-	}
-	ps, err = measureChain(pipeline, midStage(0), pipelineUplink, img, workers, instances)
+	pipeline := fleet.SyntheticChain(stage(0), stage(1), terminal)
+	ps, err = measureChain(pipeline, []core.CutPoint{1, 2}, img, workers, instances)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: pipeline run: %w", err)
 	}
@@ -160,23 +154,21 @@ func PipelinePartition(ctx *Context) (*PipelinePartitionResult, error) {
 	return res, nil
 }
 
-// measureChain dials a started chain behind the given uplink, drives the
-// load through a ChainClient with the given local stage, and tears the chain
-// down.
-func measureChain(ch *fleet.Chain, local *fleet.SlowStage, uplink netsim.Link, img *tensor.Tensor, workers, instances int) (float64, error) {
-	defer ch.Close()
-	next, err := edge.DialCloud(ch.Addr(), edge.DialConfig{Link: uplink})
+// measureChain stands up one hop per cloud cut of a synthetic chain (the
+// first behind the uplink, the rest behind the interlink), drives the load
+// through a routed ChainClient, and tears the chain down.
+func measureChain(chain []nn.Layer, cuts []core.CutPoint, img *tensor.Tensor, workers, instances int) (float64, error) {
+	hops := make([]fleet.ChainHop, len(cuts))
+	for i := range hops {
+		hops[i] = fleet.ChainHop{Chain: chain, Link: pipelineInterlink}
+	}
+	ch, err := fleet.StartChain(hops)
 	if err != nil {
 		return 0, err
 	}
-	var client edge.CloudClient
-	if local == nil {
-		client, err = edge.NewChainClient(nil, next, 0)
-	} else {
-		client, err = edge.NewChainClient(local, next, 0)
-	}
+	defer ch.Close()
+	client, err := ch.Dial(edge.DialConfig{Link: pipelineUplink}, edge.ChainConfig{Chain: chain, Cuts: cuts})
 	if err != nil {
-		next.Close()
 		return 0, err
 	}
 	defer client.Close()

@@ -10,8 +10,8 @@ package experiments
 // edges themselves become the bottleneck, and the per-replica books should
 // show the load actually spreading instead of pinning to one replica.
 //
-// The replicas serve a ZERO-cpu stand-in model (flatModel): their entire
-// per-forward cost is the modeled delay. A real forward would put every
+// The replicas serve a ZERO-cpu stand-in model (fleet.FlatModel): their
+// entire per-forward cost is the modeled delay. A real forward would put every
 // replica in contention for the same host cores — on a small CI machine the
 // replicas then scale the modeled accelerator but not the measured wall
 // clock, and the experiment would report core contention instead of routing.
@@ -26,23 +26,12 @@ import (
 	"github.com/meanet/meanet/internal/core"
 	"github.com/meanet/meanet/internal/edge"
 	"github.com/meanet/meanet/internal/netsim/fleet"
-	"github.com/meanet/meanet/internal/tensor"
 )
 
 // replicaCloudDelay is the modeled per-forward accelerator time of one
 // replica: large against everything else in the loop (edge forwards, wire,
 // framing), so the replica count is what bounds aggregate throughput.
 const replicaCloudDelay = 80 * time.Millisecond
-
-// flatModel is the zero-cpu cloud stand-in: constant logits over the right
-// class count, so a replica's serving cost is exactly SlowModel's delay (see
-// the package comment above on why a real forward would confound the
-// measurement). Predictions are meaningless — the experiment runs unlabeled.
-type flatModel struct{ classes int }
-
-func (m flatModel) Logits(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return tensor.New(x.Dim(0), m.classes)
-}
 
 // FleetReplicasRow is one replica-count measurement.
 type FleetReplicasRow struct {
@@ -133,7 +122,7 @@ func FleetReplicas(ctx *Context) (*FleetReplicasResult, error) {
 		BatchSize:  n,
 		Batches:    batches,
 	}
-	model := flatModel{classes: sys.Synth.Test.NumClasses}
+	model := fleet.FlatModel{Classes: sys.Synth.Test.NumClasses}
 	for _, replicas := range []int{1, 2, 4} {
 		servers := make([]*cloud.Server, replicas)
 		addrs := make([]string, replicas)

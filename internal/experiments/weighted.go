@@ -16,9 +16,10 @@ package experiments
 // capacity. Nothing tells the router which replica is slow — the weight
 // comes from observed (queue-normalized) service times alone.
 //
-// Like fleet-replicas, the replicas serve the zero-cpu flatModel so their
-// entire per-forward cost is the modeled serialized delay (fleet.SlowModel):
-// the rows compare routing policies, not host-core contention.
+// Like fleet-replicas, the replicas serve the zero-cpu fleet.FlatModel so
+// their entire per-forward cost is the modeled serialized delay
+// (fleet.SlowModel): the rows compare routing policies, not host-core
+// contention.
 
 import (
 	"fmt"
@@ -108,7 +109,7 @@ func FleetWeighted(ctx *Context) (*FleetWeightedResult, error) {
 		clients := make([]edge.CloudClient, len(delays))
 		for r := range clients {
 			clients[r] = &edge.InProcClient{
-				Model: &fleet.SlowModel{Inner: flatModel{classes: classes}, Delay: delays[r]},
+				Model: &fleet.SlowModel{Inner: fleet.FlatModel{Classes: classes}, Delay: delays[r]},
 			}
 		}
 		mc, err := edge.NewMultiClient(clients, addrs,

@@ -1,12 +1,12 @@
 package fleet
 
-// The chain harness: stand up an N-hop stage pipeline (cloud stage servers
-// connected hop→hop through the real edge transport, each leg shaped by its
-// own netsim link) so pipeline-partition scenarios and benchmarks measure the
-// whole relay path — framing, pipelining, per-hop shaping — on loopback
-// sockets. The caller partitions the serving chain (core.Partition) and
-// decides each hop's compute model; the harness owns wiring order and
-// teardown.
+// The chain harness: stand up an N-hop routed stage pipeline (cloud stage
+// servers, each holding the full serving chain, connected hop→hop through the
+// real edge transport, each leg shaped by its own netsim link) so
+// pipeline-partition scenarios and benchmarks measure the whole relay path —
+// framing, pipelining, per-hop shaping — on loopback sockets. The caller
+// picks the serving chain and the cuts the edge stamps on its frames; the
+// harness owns wiring order and teardown.
 
 import (
 	"fmt"
@@ -47,11 +47,11 @@ func (s *SlowStage) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (s *SlowStage) Backward(grad *tensor.Tensor) *tensor.Tensor { return s.Inner.Backward(grad) }
 func (s *SlowStage) Params() []*nn.Param                         { return s.Inner.Params() }
 
-// ShapeStage is the zero-cpu chain-stage stand-in (the flatModel idea for
+// ShapeStage is the zero-cpu chain-stage stand-in (the FlatModel idea for
 // relay hops): it emits a zero tensor of the configured per-instance shape,
 // so a hop's serving cost is exactly its SlowStage delay and its downstream
-// wire cost is exactly the modeled activation size. Non-terminal hops use a
-// CHW Dims (rank-4 batches relay downstream); the terminal hop uses a single
+// wire cost is exactly the modeled activation size. Non-terminal units use a
+// CHW Dims (rank-4 batches relay downstream); the last unit uses a single
 // class-count dim (rank-2 logits). Predictions are meaningless — pipeline
 // scenarios run unlabeled.
 type ShapeStage struct {
@@ -66,6 +66,25 @@ func (s ShapeStage) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward and Params satisfy nn.Layer; ShapeStage is inference-only.
 func (s ShapeStage) Backward(dy *tensor.Tensor) *tensor.Tensor { return dy }
 func (s ShapeStage) Params() []*nn.Param                       { return nil }
+
+// StageSpec is one stage of a synthetic pipeline: its modeled compute and
+// the per-instance dims it emits.
+type StageSpec struct {
+	Delay time.Duration
+	Dims  []int
+}
+
+// SyntheticChain builds the routed serving chain of a pipeline scenario: one
+// zero-cpu SlowStage{ShapeStage} unit per stage. Cutting it at every unit
+// boundary puts unit i on device i, so the unit at position i carries that
+// device's delay; every hop holds the same slice and runs only its own unit.
+func SyntheticChain(stages ...StageSpec) []nn.Layer {
+	chain := make([]nn.Layer, len(stages))
+	for i, st := range stages {
+		chain[i] = &SlowStage{Inner: ShapeStage{Dims: st.Dims}, Delay: st.Delay}
+	}
+	return chain
+}
 
 // RunChainLoad drives total single-image classifies through the client from
 // workers concurrent goroutines — the open-loop load generator for chain
@@ -108,12 +127,8 @@ func RunChainLoad(client edge.CloudClient, img *tensor.Tensor, workers, total in
 // ChainHop is one stage server in a relay chain. Link shapes this hop's
 // connection to the NEXT hop (unused on the terminal hop).
 type ChainHop struct {
-	// Stage serves static relay frames (MsgRelay). May be nil on a
-	// routed-only hop.
-	Stage nn.Layer
-	// Chain, when non-nil, is the full serving chain handed to every hop for
-	// source-routed relay frames (MsgRelayRoute) — live cut-move scenarios
-	// set the SAME slice on all hops.
+	// Chain is the full serving chain the hop runs route-assigned spans of;
+	// scenarios set the SAME slice on all hops.
 	Chain []nn.Layer
 	Link  netsim.Link
 }
@@ -129,6 +144,21 @@ type Chain struct {
 // Addr is the first hop's listen address — what the edge's ChainClient dials.
 func (c *Chain) Addr() string { return c.Servers[0].Addr().String() }
 
+// Dial connects an edge chain client to the first hop. The client owns the
+// transport; closing it closes the connection.
+func (c *Chain) Dial(dc edge.DialConfig, cfg edge.ChainConfig) (*edge.ChainClient, error) {
+	next, err := edge.DialCloud(c.Addr(), dc)
+	if err != nil {
+		return nil, err
+	}
+	client, err := edge.NewRoutedChainClient(next, cfg)
+	if err != nil {
+		next.Close()
+		return nil, err
+	}
+	return client, nil
+}
+
 // Close tears the chain down back-to-front: each server first (unblocking its
 // reads), then its downstream transport.
 func (c *Chain) Close() {
@@ -143,7 +173,7 @@ func (c *Chain) Close() {
 }
 
 // StartChain brings up one stage server per hop on loopback, wired LAST to
-// FIRST so every non-terminal hop can dial its (already listening) successor
+// FIRST so every hop but the last can dial its (already listening) successor
 // through the edge transport, shaped by the hop's Link. The servers are pure
 // stage hops (no raw/tail model).
 func StartChain(hops []ChainHop) (*Chain, error) {
@@ -157,14 +187,14 @@ func StartChain(hops []ChainHop) (*Chain, error) {
 	}
 	var nextAddr string
 	for i := len(hops) - 1; i >= 0; i-- {
-		cfg := cloud.StageConfig{Stage: hops[i].Stage, Chain: hops[i].Chain}
+		cfg := cloud.StageConfig{Chain: hops[i].Chain}
 		if nextAddr != "" {
 			down, err := edge.DialCloud(nextAddr, edge.DialConfig{Link: hops[i].Link})
 			if err != nil {
 				return fail(fmt.Errorf("fleet: hop %d dial downstream: %w", i, err))
 			}
 			c.Clients = append(c.Clients, down)
-			cfg.Downstream = down
+			cfg.Downstreams = []cloud.Downstream{down}
 		}
 		srv, err := cloud.NewServer(nil, nil, cloud.WithStage(cfg))
 		if err != nil {

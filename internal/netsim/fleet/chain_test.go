@@ -18,16 +18,10 @@ import (
 	"github.com/meanet/meanet/internal/models"
 	"github.com/meanet/meanet/internal/netsim"
 	"github.com/meanet/meanet/internal/netsim/fleet"
+	"github.com/meanet/meanet/internal/nn"
 	"github.com/meanet/meanet/internal/profile"
 	"github.com/meanet/meanet/internal/tensor"
 )
-
-// flatLogits is the zero-cpu terminal model for the all-edge baseline.
-type flatLogits struct{ classes int }
-
-func (m flatLogits) Logits(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return tensor.New(x.Dim(0), m.classes)
-}
 
 // fullCompute is the modeled whole-chain forward time on one device. Large
 // against frame handling and goroutine scheduling so the ordering under test
@@ -82,67 +76,55 @@ func TestPipelineOutThroughputsBaselines(t *testing.T) {
 
 	const workers, total, classes = 8, 50, 5
 	img := tensor.Randn(rng, 1, in.C, in.H, in.W)
-	stageDelay := func(i int) time.Duration {
-		return time.Duration(pipe.Stages[i].ComputeSec * float64(time.Second))
+	stage := func(i int) fleet.StageSpec {
+		st := pipe.Stages[i]
+		return fleet.StageSpec{
+			Delay: time.Duration(st.ComputeSec * float64(time.Second)),
+			Dims:  []int{st.Out.C, st.Out.H, st.Out.W},
+		}
 	}
-	midStage := func(i int) *fleet.SlowStage {
-		out := pipe.Stages[i].Out
-		return &fleet.SlowStage{Inner: fleet.ShapeStage{Dims: []int{out.C, out.H, out.W}}, Delay: stageDelay(i)}
+	// measure stands up one hop per cloud cut (the first behind the uplink,
+	// the second behind the interlink) and drives the load through a routed
+	// client.
+	measure := func(chain []nn.Layer, cuts ...core.CutPoint) float64 {
+		t.Helper()
+		hops := make([]fleet.ChainHop, len(cuts))
+		for i := range hops {
+			hops[i] = fleet.ChainHop{Chain: chain, Link: interlink}
+		}
+		ch, err := fleet.StartChain(hops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ch.Close()
+		client, err := ch.Dial(edge.DialConfig{Link: uplink}, edge.ChainConfig{Chain: chain, Cuts: cuts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		rate, err := fleet.RunChainLoad(client, img, workers, total)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rate
 	}
 
 	// All-edge: one serialized accelerator runs the whole chain in-process.
-	allEdge := &edge.InProcClient{Model: &fleet.SlowModel{Inner: flatLogits{classes}, Delay: fullCompute}}
+	allEdge := &edge.InProcClient{Model: &fleet.SlowModel{Inner: fleet.FlatModel{Classes: classes}, Delay: fullCompute}}
 	measuredLocal, err := fleet.RunChainLoad(allEdge, img, workers, total)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Direct: raw input over the constrained uplink to a single terminal hop
-	// running the whole chain.
-	directChain, err := fleet.StartChain([]fleet.ChainHop{{
-		Stage: &fleet.SlowStage{Inner: fleet.ShapeStage{Dims: []int{classes}}, Delay: fullCompute},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer directChain.Close()
-	directNext, err := edge.DialCloud(directChain.Addr(), edge.DialConfig{Link: uplink})
-	if err != nil {
-		t.Fatal(err)
-	}
-	directClient, err := edge.NewChainClient(nil, directNext, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer directClient.Close()
-	measuredDirect, err := fleet.RunChainLoad(directClient, img, workers, total)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// running the whole chain (cut at 0: no local stage).
+	measuredDirect := measure(fleet.SyntheticChain(fleet.StageSpec{Delay: fullCompute, Dims: []int{classes}}), 0)
 
 	// Pipeline: the solver's 3-stage placement — stage 0 on the edge, stage 1
 	// behind the uplink, stage 2 behind the interlink.
-	pipeChain, err := fleet.StartChain([]fleet.ChainHop{
-		{Stage: midStage(1), Link: interlink},
-		{Stage: &fleet.SlowStage{Inner: fleet.ShapeStage{Dims: []int{classes}}, Delay: stageDelay(2)}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pipeChain.Close()
-	pipeNext, err := edge.DialCloud(pipeChain.Addr(), edge.DialConfig{Link: uplink})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipeClient, err := edge.NewChainClient(midStage(0), pipeNext, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pipeClient.Close()
-	measuredPipe, err := fleet.RunChainLoad(pipeClient, img, workers, total)
-	if err != nil {
-		t.Fatal(err)
-	}
+	terminal := stage(2)
+	terminal.Dims = []int{classes}
+	measuredPipe := measure(fleet.SyntheticChain(stage(0), stage(1), terminal), 1, 2)
 
 	t.Logf("predicted img/s: pipe %.1f local %.1f direct %.1f; measured: pipe %.1f local %.1f direct %.1f (cuts %v, bottleneck %s)",
 		pipe.Throughput, localPred.Throughput, directPred.Throughput,
@@ -165,7 +147,7 @@ func TestStartChainValidation(t *testing.T) {
 }
 
 func TestRunChainLoadValidation(t *testing.T) {
-	client := &edge.InProcClient{Model: flatLogits{2}}
+	client := &edge.InProcClient{Model: fleet.FlatModel{Classes: 2}}
 	img := tensor.New(3, 4, 4)
 	if _, err := fleet.RunChainLoad(client, img, 0, 1); err == nil {
 		t.Fatal("zero workers accepted")

@@ -411,6 +411,16 @@ func runEdge(cfg *Config, i int) (EdgeResult, error) {
 	return res, nil
 }
 
+// FlatModel is the zero-cpu cloud stand-in: constant (zero) logits over
+// Classes. Scenarios wrap it in SlowModel, so a replica's serving cost is
+// exactly the modeled delay and never host-core contention.
+type FlatModel struct{ Classes int }
+
+// Logits emits zeros of shape [batch, Classes].
+func (m FlatModel) Logits(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return tensor.New(x.Dim(0), m.Classes)
+}
+
 // SlowModel wraps a cloud model with a serialized fixed delay per forward
 // pass — the deterministic stand-in for a saturated single-accelerator cloud
 // that the fleet scenarios push into admission control. Serialization is the

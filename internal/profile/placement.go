@@ -36,15 +36,20 @@ type Device struct {
 	MACsPerSec float64
 }
 
-// relayFrameOverheadBytes is the wire overhead of one single-instance relay
-// frame beyond its float32 activation data: the frame header (17 bytes), the
-// TTL byte, the tensor rank byte and four int32 dims. Kept in sync with the
+// relayFrameOverheadBytes is the fixed wire overhead of one single-instance
+// routed relay frame beyond its float32 activation data and its route: the
+// frame header (17 bytes), the uint16 chain position, the boundary-count
+// byte, the tensor rank byte and four int32 dims. Kept in sync with the
 // protocol package by TestRelayWireBytes.
-const relayFrameOverheadBytes = 35
+const relayFrameOverheadBytes = 37
 
 // RelayWireBytes is the modeled wire size of relaying one instance's CHW
-// activation downstream (float32 data plus per-frame overhead).
-func RelayWireBytes(s Shape) int64 { return relayFrameOverheadBytes + 4*s.Elems() }
+// activation downstream in a routed frame that still carries bounds
+// remaining route boundaries (2 bytes each): float32 data plus per-frame
+// overhead.
+func RelayWireBytes(s Shape, bounds int) int64 {
+	return relayFrameOverheadBytes + 2*int64(bounds) + 4*s.Elems()
+}
 
 // StagePlan is one stage of a placement.
 type StagePlan struct {
@@ -208,7 +213,9 @@ func evaluate(cuts []core.CutPoint, costs []Cost, outs []Shape, devices []Device
 			p.Bottleneck = fmt.Sprintf("stage %d compute on %s", i, devices[i].Name)
 		}
 		if i < len(links) {
-			st.WireBytes = RelayWireBytes(st.Out)
+			// The frame crossing link i still carries the boundaries of
+			// every later link.
+			st.WireBytes = RelayWireBytes(st.Out, len(links)-1-i)
 			st.TransferSec = links[i].TransferTime(st.WireBytes).Seconds()
 			if st.TransferSec > worst {
 				worst = st.TransferSec
@@ -248,7 +255,7 @@ func DirectPlacement(chain []nn.Layer, in Shape, uplink netsim.Link, edge, remot
 	for _, c := range costs {
 		total = total.Add(c)
 	}
-	wire := RelayWireBytes(in)
+	wire := RelayWireBytes(in, 0)
 	transfer := uplink.TransferTime(wire).Seconds()
 	compute := float64(total.MACs) / remote.MACsPerSec
 	p := Placement{

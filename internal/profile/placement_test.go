@@ -171,13 +171,18 @@ func TestPlacePipelineUnknownLayerPropagates(t *testing.T) {
 }
 
 // TestRelayWireBytes pins the solver's wire-size model to the actual protocol
-// framing of a single-instance relay.
+// framing of a single-instance routed relay with 0, 1 and 2 boundaries left.
 func TestRelayWireBytes(t *testing.T) {
 	s := Shape{C: 16, H: 6, W: 6}
 	act := tensor.New(1, s.C, s.H, s.W)
-	payload := protocol.EncodeActivation(3, act)
-	if got, want := RelayWireBytes(s), int64(protocol.FrameWireSize(len(payload))); got != want {
-		t.Fatalf("RelayWireBytes(%+v) = %d, actual frame is %d bytes", s, got, want)
+	for _, bounds := range [][]int{nil, {5}, {5, 9}} {
+		payload, err := protocol.EncodeRoutedActivation(3, bounds, act)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := RelayWireBytes(s, len(bounds)), int64(protocol.FrameWireSize(len(payload))); got != want {
+			t.Fatalf("RelayWireBytes(%+v, %d) = %d, actual frame is %d bytes", s, len(bounds), got, want)
+		}
 	}
 }
 

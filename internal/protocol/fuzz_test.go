@@ -22,11 +22,12 @@ import (
 	"github.com/meanet/meanet/internal/tensor"
 )
 
-// frameTypes lists every message type, including the batch frames.
+// frameTypes lists every message type, including the batch frames
+// (TestFrameTypesCoverDeclaredTypes keeps it complete).
 var frameTypes = []MsgType{
 	MsgClassifyRaw, MsgClassifyFeat, MsgResult, MsgError, MsgPing, MsgPong,
 	MsgClassifyBatch, MsgResultBatch, MsgClassifyFeatBatch, MsgShed, MsgHello,
-	MsgRelay,
+	MsgRelayRoute,
 }
 
 func FuzzFrameRoundTrip(f *testing.F) {
@@ -289,78 +290,28 @@ func FuzzDecodeShed(f *testing.F) {
 	})
 }
 
-// FuzzDecodeActivation feeds arbitrary bytes into the relay-payload decoder
-// (TTL byte + tensor): accepted payloads must re-encode canonically — the
-// tensor encoding is canonical and the TTL byte is copied verbatim — so a
-// stage hop can never accept an activation it could not relay identically.
-func FuzzDecodeActivation(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{3})
-	f.Add(EncodeActivation(0, tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2)))
-	f.Add(EncodeActivation(255, tensor.FromSlice([]float32{float32(math.NaN())}, 1, 1, 1, 1)))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ttl, act, err := DecodeActivation(data)
-		if err != nil {
-			return
-		}
-		if got := EncodeActivation(ttl, act); !bytes.Equal(got, data) {
-			t.Fatalf("accepted relay payload is not canonical (%d vs %d bytes)", len(got), len(data))
-		}
-	})
-}
-
-// FuzzActivationRoundTrip builds NCHW batches from fuzzed dimensions and
-// requires a bitwise-lossless relay payload cycle — the property the whole
-// multi-hop chain's bitwise-identity guarantee rests on.
-func FuzzActivationRoundTrip(f *testing.F) {
-	f.Add(uint8(2), uint8(3), uint8(4), uint8(7), int64(1))
-	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), int64(-7))
-	f.Fuzz(func(t *testing.T, n, c, hw, ttl uint8, seed int64) {
-		shape := []int{int(n)%4 + 1, int(c)%8 + 1, int(hw)%6 + 1, int(hw)%6 + 1}
-		total := shape[0] * shape[1] * shape[2] * shape[3]
-		data := make([]float32, total)
-		s := uint64(seed)
-		for i := range data {
-			s = s*6364136223846793005 + 1442695040888963407
-			data[i] = math.Float32frombits(uint32(s >> 32))
-		}
-		in := tensor.FromSlice(data, shape...)
-		gotTTL, out, err := DecodeActivation(EncodeActivation(ttl, in))
-		if err != nil {
-			t.Fatalf("decode of valid relay payload: %v", err)
-		}
-		if gotTTL != ttl {
-			t.Fatalf("TTL %d became %d", ttl, gotTTL)
-		}
-		if !out.SameShape(in) {
-			t.Fatalf("shape %v became %v", in.Shape(), out.Shape())
-		}
-		for i, v := range out.Data() {
-			if math.Float32bits(v) != math.Float32bits(in.Data()[i]) {
-				t.Fatalf("element %d: %x became %x", i, math.Float32bits(in.Data()[i]), math.Float32bits(v))
-			}
-		}
-	})
-}
-
 // FuzzDecodeRoutedActivation feeds arbitrary bytes into the source-routed
 // relay decoder: accepted payloads must re-encode canonically (route header
 // validated strictly — monotonic boundaries, bounded position — so no two
-// byte strings decode to the same route).
+// byte strings decode to the same route). Probe payloads (no tensor body)
+// are covered too: they must decode to a nil tensor and re-encode the same.
 func FuzzDecodeRoutedActivation(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3})
-	f.Add([]byte{3, 0, 0, 0})
-	seed, _ := EncodeRoutedActivation(7, 2, []int{4, 9}, tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2))
+	f.Add([]byte{0, 0, 0})
+	seed, _ := EncodeRoutedActivation(2, []int{4, 9}, tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2))
 	f.Add(seed)
-	noRoute, _ := EncodeRoutedActivation(0, 0, nil, tensor.FromSlice([]float32{float32(math.NaN())}, 1, 1, 1, 1))
+	noRoute, _ := EncodeRoutedActivation(0, nil, tensor.FromSlice([]float32{float32(math.NaN())}, 1, 1, 1, 1))
 	f.Add(noRoute)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ttl, pos, bounds, act, err := DecodeRoutedActivation(data)
+		pos, bounds, act, err := DecodeRoutedActivation(data)
 		if err != nil {
 			return
 		}
-		got, err := EncodeRoutedActivation(ttl, pos, bounds, act)
+		if (act == nil) != IsRoutedProbe(data) {
+			t.Fatalf("probe detection disagrees with the decoder (nil tensor %v)", act == nil)
+		}
+		got, err := EncodeRoutedActivation(pos, bounds, act)
 		if err != nil {
 			t.Fatalf("accepted route does not re-encode: %v", err)
 		}
@@ -374,9 +325,9 @@ func FuzzDecodeRoutedActivation(f *testing.F) {
 // inputs and requires a bitwise-lossless cycle — the property the live cut
 // move's bitwise-identity guarantee rests on.
 func FuzzRoutedActivationRoundTrip(f *testing.F) {
-	f.Add(uint8(2), uint8(3), uint8(1), uint8(2), int64(1))
-	f.Add(uint8(16), uint8(1), uint8(0), uint8(5), int64(-7))
-	f.Fuzz(func(t *testing.T, ttl, n, posRaw, hopsRaw uint8, seed int64) {
+	f.Add(uint8(3), uint8(1), uint8(2), int64(1))
+	f.Add(uint8(1), uint8(0), uint8(5), int64(-7))
+	f.Fuzz(func(t *testing.T, n, posRaw, hopsRaw uint8, seed int64) {
 		pos := int(posRaw) % 64
 		bounds := make([]int, int(hopsRaw)%5)
 		for i := range bounds {
@@ -390,16 +341,16 @@ func FuzzRoutedActivationRoundTrip(f *testing.F) {
 			data[i] = math.Float32frombits(uint32(s >> 32))
 		}
 		in := tensor.FromSlice(data, shape...)
-		enc, err := EncodeRoutedActivation(ttl, pos, bounds, in)
+		enc, err := EncodeRoutedActivation(pos, bounds, in)
 		if err != nil {
 			t.Fatalf("encode of valid route: %v", err)
 		}
-		gotTTL, gotPos, gotBounds, out, err := DecodeRoutedActivation(enc)
+		gotPos, gotBounds, out, err := DecodeRoutedActivation(enc)
 		if err != nil {
 			t.Fatalf("decode of valid routed payload: %v", err)
 		}
-		if gotTTL != ttl || gotPos != pos || len(gotBounds) != len(bounds) {
-			t.Fatalf("route mutated: ttl %d→%d pos %d→%d bounds %v→%v", ttl, gotTTL, pos, gotPos, bounds, gotBounds)
+		if gotPos != pos || len(gotBounds) != len(bounds) {
+			t.Fatalf("route mutated: pos %d→%d bounds %v→%v", pos, gotPos, bounds, gotBounds)
 		}
 		for i := range bounds {
 			if gotBounds[i] != bounds[i] {

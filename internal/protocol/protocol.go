@@ -32,8 +32,8 @@ const (
 	MsgClassifyFeatBatch                    // payload: batched feature tensor [N,C,H,W]
 	MsgShed                                 // payload: uint64 retry-after nanos (+ optional LoadStatus)
 	MsgHello                                // request: empty; reply payload: Capabilities
-	MsgRelay                                // payload: relay TTL byte + activation tensor [N,C,H,W]
-	MsgRelayRoute                           // payload: TTL + chain position + remaining boundaries + activation tensor
+	_                                       // 12: retired (static relay frame); never reused
+	MsgRelayRoute                           // payload: chain position + remaining boundaries + activation tensor
 )
 
 // String names the message type.
@@ -61,8 +61,6 @@ func (t MsgType) String() string {
 		return "shed"
 	case MsgHello:
 		return "hello"
-	case MsgRelay:
-		return "relay"
 	case MsgRelayRoute:
 		return "relay-routed"
 	default:
@@ -392,66 +390,9 @@ func DecodeHello(b []byte) (Capabilities, error) {
 	}, nil
 }
 
-// relayHeaderLen is the fixed prefix of a MsgRelay payload (the TTL byte).
-const relayHeaderLen = 1
-
-// EncodeActivation serializes a MsgRelay payload: one TTL byte followed by
-// the NCHW activation tensor in EncodeTensor form. MsgRelay is the stage-
-// chain frame — a hop receives activations, runs its stage, and either
-// forwards the outputs downstream (TTL decremented per hop, so a
-// misconfigured chain cycle dies with an error instead of amplifying frames
-// forever) or, at the terminal hop, answers with the usual MsgResultBatch.
-// A server predating stage mode answers the unknown type with MsgError,
-// mirroring the MsgHello legacy contract: the chain client surfaces the
-// error and the instances fall back to the edge.
-func EncodeActivation(ttl uint8, t *tensor.Tensor) []byte {
-	body := EncodeTensor(t)
-	out := make([]byte, relayHeaderLen+len(body))
-	out[0] = ttl
-	copy(out[relayHeaderLen:], body)
-	return out
-}
-
-// DecodeActivation reverses EncodeActivation, validating the payload
-// exactly (the tensor decoder rejects truncated or trailing bytes). Rank is
-// NOT constrained here — the serving layer enforces NCHW so the decoder
-// stays reusable for future relay payloads.
-func DecodeActivation(b []byte) (ttl uint8, t *tensor.Tensor, err error) {
-	if len(b) < relayHeaderLen {
-		return 0, nil, fmt.Errorf("protocol: relay payload length %d, want >= %d", len(b), relayHeaderLen)
-	}
-	t, err = DecodeTensor(b[relayHeaderLen:])
-	if err != nil {
-		return 0, nil, err
-	}
-	return b[0], t, nil
-}
-
-// EncodeRelayProbe serializes a zero-instance MsgRelay payload: the TTL byte
-// with NO tensor after it. A probe traverses the chain's transport hops —
-// every non-terminal hop forwards it downstream without running its stage,
-// the terminal hop answers an empty result batch — so the edge can verify a
-// chain end to end (and learn its hop count from the piggybacked per-hop
-// status vector) without shipping a single activation. A server predating
-// probes rejects the empty tensor with MsgError, the usual legacy contract.
-func EncodeRelayProbe(ttl uint8) []byte { return []byte{ttl} }
-
-// IsRelayProbe reports whether a MsgRelay payload is a zero-instance probe
-// (TTL byte only). Checked before DecodeActivation, whose tensor decoder
-// rejects the empty body.
-func IsRelayProbe(b []byte) bool { return len(b) == relayHeaderLen }
-
-// DecodeRelayProbe decodes a probe payload's TTL byte.
-func DecodeRelayProbe(b []byte) (ttl uint8, err error) {
-	if !IsRelayProbe(b) {
-		return 0, fmt.Errorf("protocol: relay probe payload length %d, want %d", len(b), relayHeaderLen)
-	}
-	return b[0], nil
-}
-
-// routedHeaderLen is the fixed prefix of a MsgRelayRoute payload: the TTL
-// byte, the uint16 chain position and the boundary-count byte.
-const routedHeaderLen = 4
+// routedHeaderLen is the fixed prefix of a MsgRelayRoute payload: the
+// uint16 chain position and the boundary-count byte.
+const routedHeaderLen = 3
 
 // maxChainUnits bounds the chain positions a routed relay frame can carry
 // (uint16 on the wire; real serving chains are tens of units).
@@ -469,7 +410,16 @@ const maxChainUnits = 1 << 16
 // already in flight complete on the old ones: the drain-never-abort cut move,
 // with bitwise-identical predictions on both routes (core.Partition is exact
 // for every legal cut chain).
-func EncodeRoutedActivation(ttl uint8, pos int, bounds []int, t *tensor.Tensor) ([]byte, error) {
+//
+// The route is also the hop-count guard: every hop consumes one strictly
+// increasing boundary and the count byte caps them at 255, so a frame crosses
+// at most len(bounds)+1 hops even through a cyclic hop configuration.
+//
+// A nil t encodes a zero-instance chain PROBE: the route with no tensor body.
+// Hops forward it along its route without running any unit, so the edge can
+// verify a chain end to end (and learn its hop count from the piggybacked
+// per-hop status vector) without shipping a single activation.
+func EncodeRoutedActivation(pos int, bounds []int, t *tensor.Tensor) ([]byte, error) {
 	if pos < 0 || pos >= maxChainUnits {
 		return nil, fmt.Errorf("protocol: routed relay position %d out of range", pos)
 	}
@@ -483,11 +433,13 @@ func EncodeRoutedActivation(ttl uint8, pos int, bounds []int, t *tensor.Tensor) 
 		}
 		prev = b
 	}
-	body := EncodeTensor(t)
+	var body []byte
+	if t != nil {
+		body = EncodeTensor(t)
+	}
 	out := make([]byte, routedHeaderLen+2*len(bounds)+len(body))
-	out[0] = ttl
-	binary.LittleEndian.PutUint16(out[1:], uint16(pos))
-	out[3] = byte(len(bounds))
+	binary.LittleEndian.PutUint16(out, uint16(pos))
+	out[2] = byte(len(bounds))
 	off := routedHeaderLen
 	for _, b := range bounds {
 		binary.LittleEndian.PutUint16(out[off:], uint16(b))
@@ -497,19 +449,25 @@ func EncodeRoutedActivation(ttl uint8, pos int, bounds []int, t *tensor.Tensor) 
 	return out, nil
 }
 
+// IsRoutedProbe reports whether a MsgRelayRoute payload is a zero-instance
+// probe (route only, no tensor body) without decoding it — servers check it
+// before admission control, because probes are never shed.
+func IsRoutedProbe(b []byte) bool {
+	return len(b) >= routedHeaderLen && len(b) == routedHeaderLen+2*int(b[2])
+}
+
 // DecodeRoutedActivation reverses EncodeRoutedActivation, validating the
 // route exactly (monotonic boundaries, canonical tensor) so an accepted
-// payload always re-encodes bitwise — the same canonicity contract as
-// DecodeActivation, fuzz-enforced.
-func DecodeRoutedActivation(b []byte) (ttl uint8, pos int, bounds []int, t *tensor.Tensor, err error) {
+// payload always re-encodes bitwise, fuzz-enforced. A probe payload decodes
+// with a nil tensor.
+func DecodeRoutedActivation(b []byte) (pos int, bounds []int, t *tensor.Tensor, err error) {
 	if len(b) < routedHeaderLen {
-		return 0, 0, nil, nil, fmt.Errorf("protocol: routed relay payload length %d, want >= %d", len(b), routedHeaderLen)
+		return 0, nil, nil, fmt.Errorf("protocol: routed relay payload length %d, want >= %d", len(b), routedHeaderLen)
 	}
-	ttl = b[0]
-	pos = int(binary.LittleEndian.Uint16(b[1:]))
-	n := int(b[3])
+	pos = int(binary.LittleEndian.Uint16(b))
+	n := int(b[2])
 	if len(b) < routedHeaderLen+2*n {
-		return 0, 0, nil, nil, fmt.Errorf("protocol: truncated routed relay header (%d boundaries)", n)
+		return 0, nil, nil, fmt.Errorf("protocol: truncated routed relay header (%d boundaries)", n)
 	}
 	off := routedHeaderLen
 	prev := pos
@@ -518,18 +476,21 @@ func DecodeRoutedActivation(b []byte) (ttl uint8, pos int, bounds []int, t *tens
 		for i := range bounds {
 			v := int(binary.LittleEndian.Uint16(b[off:]))
 			if v <= prev {
-				return 0, 0, nil, nil, fmt.Errorf("protocol: route boundary %d not past %d", v, prev)
+				return 0, nil, nil, fmt.Errorf("protocol: route boundary %d not past %d", v, prev)
 			}
 			bounds[i] = v
 			prev = v
 			off += 2
 		}
 	}
+	if off == len(b) {
+		return pos, bounds, nil, nil
+	}
 	t, err = DecodeTensor(b[off:])
 	if err != nil {
-		return 0, 0, nil, nil, err
+		return 0, nil, nil, err
 	}
-	return ttl, pos, bounds, t, nil
+	return pos, bounds, t, nil
 }
 
 // StageStatus is one chain hop's live telemetry, piggybacked per hop on every
@@ -563,7 +524,7 @@ const stageStatusLen = 20
 // piggyback itself stays legacy-compatible.
 func EncodeResultsChain(rs []Result, st LoadStatus, hops []StageStatus) []byte {
 	if len(hops) > 255 {
-		hops = hops[:255] // longer chains than the TTL allows cannot occur
+		hops = hops[:255] // the count byte holds at most 255 entries
 	}
 	base := appendLoadStatus(EncodeResults(rs), st)
 	out := make([]byte, len(base)+1+stageStatusLen*len(hops))

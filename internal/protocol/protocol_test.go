@@ -3,6 +3,11 @@ package protocol
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -232,13 +237,16 @@ func TestMsgTypeWireValuesStable(t *testing.T) {
 		MsgClassifyFeatBatch: 9,
 		MsgShed:              10,
 		MsgHello:             11,
-		MsgRelay:             12,
 		MsgRelayRoute:        13,
 	}
 	for ty, v := range want {
 		if uint8(ty) != v {
 			t.Fatalf("%s has wire value %d, want %d", ty, uint8(ty), v)
 		}
+	}
+	// 12 was the static relay frame: retired, never reused.
+	if got := MsgType(12).String(); got != "msgtype(12)" {
+		t.Fatalf("retired wire value 12 reused as %q", got)
 	}
 }
 
@@ -255,7 +263,6 @@ func TestMsgTypeStrings(t *testing.T) {
 		MsgClassifyFeatBatch: "classify-features-batch",
 		MsgShed:              "shed",
 		MsgHello:             "hello",
-		MsgRelay:             "relay",
 		MsgRelayRoute:        "relay-routed",
 		MsgType(99):          "msgtype(99)",
 	}
@@ -263,6 +270,53 @@ func TestMsgTypeStrings(t *testing.T) {
 		if got := ty.String(); got != want {
 			t.Fatalf("MsgType(%d).String() = %q, want %q", ty, got, want)
 		}
+	}
+}
+
+// TestFrameTypesCoverDeclaredTypes reads the MsgType const block from the
+// source and fails when a declared type has no String() name or is missing
+// from the fuzz corpus list frameTypes. Blank specs are retired wire values
+// (12, the static relay frame) and are exempt.
+func TestFrameTypesCoverDeclaredTypes(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "protocol.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := make(map[MsgType]bool, len(frameTypes))
+	for _, ty := range frameTypes {
+		listed[ty] = true
+	}
+	declared := 0
+	for _, decl := range file.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST || len(gd.Specs) == 0 {
+			continue
+		}
+		first := gd.Specs[0].(*ast.ValueSpec)
+		if id, ok := first.Type.(*ast.Ident); !ok || id.Name != "MsgType" {
+			continue
+		}
+		// Values are positional (iota + 1), so spec i declares wire value i+1.
+		if len(first.Values) != 1 || types.ExprString(first.Values[0]) != "iota + 1" {
+			t.Fatalf("MsgType block no longer starts at iota + 1: update this test")
+		}
+		for i, spec := range gd.Specs {
+			name := spec.(*ast.ValueSpec).Names[0].Name
+			ty := MsgType(i + 1)
+			if name == "_" {
+				continue
+			}
+			declared++
+			if got := ty.String(); got == fmt.Sprintf("msgtype(%d)", i+1) {
+				t.Errorf("%s (wire value %d) has no String() name", name, i+1)
+			}
+			if !listed[ty] {
+				t.Errorf("%s (wire value %d) is missing from frameTypes", name, i+1)
+			}
+		}
+	}
+	if declared == 0 || declared != len(frameTypes) {
+		t.Fatalf("found %d declared message types, frameTypes lists %d", declared, len(frameTypes))
 	}
 }
 
@@ -392,119 +446,144 @@ func TestShedRoundTrip(t *testing.T) {
 	}
 }
 
+// TestActivationRoundTrip: the activation body of a relay frame survives
+// the routed payload bitwise, for NCHW batches and for the rank-2
+// [batch, features] activations of cuts past the flattening layers.
 func TestActivationRoundTrip(t *testing.T) {
-	in := tensor.FromSlice([]float32{1, -2, 3.5, 0, 7, -0.25, 9, 11}, 2, 1, 2, 2)
-	payload := EncodeActivation(5, in)
-	ttl, out, err := DecodeActivation(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ttl != 5 {
-		t.Fatalf("ttl = %d, want 5", ttl)
-	}
-	if !out.SameShape(in) {
-		t.Fatalf("shape %v became %v", in.Shape(), out.Shape())
-	}
-	for i, v := range out.Data() {
-		if v != in.Data()[i] {
-			t.Fatalf("element %d: %v became %v", i, in.Data()[i], v)
+	for _, in := range []*tensor.Tensor{
+		tensor.FromSlice([]float32{1, -2, 3.5, 0, 7, -0.25, 9, 11}, 2, 1, 2, 2),
+		tensor.FromSlice([]float32{1, -2, 3.5, 0, 7, -0.25}, 2, 3),
+	} {
+		payload, err := EncodeRoutedActivation(5, nil, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, out, err := DecodeRoutedActivation(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.SameShape(in) {
+			t.Fatalf("shape %v became %v", in.Shape(), out.Shape())
+		}
+		for i, v := range out.Data() {
+			if v != in.Data()[i] {
+				t.Fatalf("element %d: %v became %v", i, in.Data()[i], v)
+			}
 		}
 	}
 }
 
+// TestDecodeActivationRejectsGarbage: a truncated route header, or garbage
+// after a valid route, is rejected — a bad tensor body never reads as a probe.
 func TestDecodeActivationRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,       // no TTL byte at all
-		{7},       // TTL but no tensor
-		{7, 4},    // rank with no dims
-		{7, 0xff}, // absurd rank
+	good, err := EncodeRoutedActivation(2, []int{4}, tensor.FromSlice([]float32{1, 2}, 1, 1, 1, 2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	good := EncodeActivation(1, tensor.FromSlice([]float32{1, 2}, 1, 1, 1, 2))
-	cases = append(cases, good[:len(good)-1], append(append([]byte{}, good...), 0))
+	route, body := good[:5], good[5:]
+	cases := [][]byte{
+		nil,      // no header at all
+		{7},      // truncated position
+		{7, 0},   // no boundary count
+		good[:4], // truncated boundary list
+	}
+	for _, garbage := range [][]byte{
+		{4},                                  // rank with no dims
+		{0xff},                               // absurd rank
+		body[:len(body)-1],                   // truncated tensor
+		append(append([]byte{}, body...), 0), // trailing byte
+	} {
+		cases = append(cases, append(append([]byte{}, route...), garbage...))
+	}
 	for i, c := range cases {
-		if _, _, err := DecodeActivation(c); err == nil {
+		if _, _, _, err := DecodeRoutedActivation(c); err == nil {
 			t.Fatalf("case %d (%d bytes) accepted", i, len(c))
 		}
 	}
 }
 
+// TestRelayProbeRoundTrip: a probe is a routed payload with no tensor body;
+// it must decode to a nil tensor with its route intact, and a real
+// activation payload must never read as a probe (or vice versa).
 func TestRelayProbeRoundTrip(t *testing.T) {
-	for _, ttl := range []uint8{0, 1, 16, 255} {
-		p := EncodeRelayProbe(ttl)
-		if !IsRelayProbe(p) {
+	for _, bounds := range [][]int{nil, {4}, {4, 9}} {
+		p, err := EncodeRoutedActivation(2, bounds, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !IsRoutedProbe(p) {
 			t.Fatalf("probe payload of %d bytes not recognised", len(p))
 		}
-		got, err := DecodeRelayProbe(p)
-		if err != nil || got != ttl {
-			t.Fatalf("probe TTL %d round-tripped to %d, %v", ttl, got, err)
+		pos, got, act, err := DecodeRoutedActivation(p)
+		if err != nil || act != nil || pos != 2 || len(got) != len(bounds) {
+			t.Fatalf("probe route %v round-tripped to pos %d bounds %v tensor %v, %v", bounds, pos, got, act, err)
 		}
 	}
-	// A real activation payload must never read as a probe, and vice versa.
-	act := EncodeActivation(3, tensor.FromSlice([]float32{1, 2}, 1, 1, 1, 2))
-	if IsRelayProbe(act) {
+	act, err := EncodeRoutedActivation(2, []int{4}, tensor.FromSlice([]float32{1, 2}, 1, 1, 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if IsRoutedProbe(act) {
 		t.Fatalf("activation payload misread as probe")
 	}
-	if _, err := DecodeRelayProbe(act); err == nil {
-		t.Fatalf("DecodeRelayProbe accepted an activation payload")
-	}
-	if _, _, err := DecodeActivation(EncodeRelayProbe(3)); err == nil {
-		t.Fatalf("DecodeActivation accepted a probe payload")
+	if IsRoutedProbe(nil) || IsRoutedProbe([]byte{0, 0}) {
+		t.Fatalf("truncated header misread as probe")
 	}
 }
 
 func TestRoutedActivationRoundTrip(t *testing.T) {
 	in := tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6}, 1, 1, 2, 3)
-	enc, err := EncodeRoutedActivation(9, 2, []int{5, 8}, in)
+	enc, err := EncodeRoutedActivation(2, []int{5, 8}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ttl, pos, bounds, out, err := DecodeRoutedActivation(enc)
+	pos, bounds, out, err := DecodeRoutedActivation(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ttl != 9 || pos != 2 || len(bounds) != 2 || bounds[0] != 5 || bounds[1] != 8 {
-		t.Fatalf("route mutated: ttl=%d pos=%d bounds=%v", ttl, pos, bounds)
+	if pos != 2 || len(bounds) != 2 || bounds[0] != 5 || bounds[1] != 8 {
+		t.Fatalf("route mutated: pos=%d bounds=%v", pos, bounds)
 	}
 	if !out.SameShape(in) {
 		t.Fatalf("shape %v became %v", in.Shape(), out.Shape())
 	}
 	// Terminal frame: no boundaries left.
-	enc, err = EncodeRoutedActivation(1, 7, nil, in)
+	enc, err = EncodeRoutedActivation(7, nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, pos, bounds, _, err = DecodeRoutedActivation(enc); err != nil || pos != 7 || len(bounds) != 0 {
+	if pos, bounds, _, err = DecodeRoutedActivation(enc); err != nil || pos != 7 || len(bounds) != 0 {
 		t.Fatalf("terminal route: pos=%d bounds=%v err=%v", pos, bounds, err)
 	}
 }
 
 func TestRoutedActivationRejectsBadRoutes(t *testing.T) {
 	in := tensor.FromSlice([]float32{1}, 1, 1, 1, 1)
-	if _, err := EncodeRoutedActivation(1, 3, []int{3}, in); err == nil {
+	if _, err := EncodeRoutedActivation(3, []int{3}, in); err == nil {
 		t.Fatalf("boundary == position accepted")
 	}
-	if _, err := EncodeRoutedActivation(1, 3, []int{5, 4}, in); err == nil {
+	if _, err := EncodeRoutedActivation(3, []int{5, 4}, in); err == nil {
 		t.Fatalf("non-increasing boundaries accepted")
 	}
-	if _, err := EncodeRoutedActivation(1, -1, nil, in); err == nil {
+	if _, err := EncodeRoutedActivation(-1, nil, in); err == nil {
 		t.Fatalf("negative position accepted")
 	}
-	good, err := EncodeRoutedActivation(1, 2, []int{4}, in)
+	good, err := EncodeRoutedActivation(2, []int{4}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Decoder must apply the same validation.
 	bad := append([]byte{}, good...)
-	binary.LittleEndian.PutUint16(bad[1:], 4) // pos == bounds[0]
-	if _, _, _, _, err := DecodeRoutedActivation(bad); err == nil {
+	binary.LittleEndian.PutUint16(bad, 4) // pos == bounds[0]
+	if _, _, _, err := DecodeRoutedActivation(bad); err == nil {
 		t.Fatalf("decoder accepted boundary == position")
 	}
-	if _, _, _, _, err := DecodeRoutedActivation(good[:3]); err == nil {
+	if _, _, _, err := DecodeRoutedActivation(good[:2]); err == nil {
 		t.Fatalf("decoder accepted truncated header")
 	}
 	trunc := append([]byte{}, good...)
-	trunc[3] = 9 // claims 9 boundaries, carries 1
-	if _, _, _, _, err := DecodeRoutedActivation(trunc); err == nil {
+	trunc[2] = 9 // claims 9 boundaries, carries 1
+	if _, _, _, err := DecodeRoutedActivation(trunc); err == nil {
 		t.Fatalf("decoder accepted truncated boundary list")
 	}
 }
