@@ -266,6 +266,7 @@ func BenchmarkConv2DForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	conv := nn.NewConv2D(rng, "b", 16, 32, 3, 1, 1, false)
 	x := tensor.Randn(rng, 1, 8, 16, 16, 16)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		conv.Forward(x, false)
@@ -295,6 +296,7 @@ func BenchmarkMEANetInferBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	x := tensor.Randn(rng, 1, 16, 3, 12, 12)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Infer(x, core.Policy{UseCloud: false}, nil); err != nil {
@@ -302,6 +304,26 @@ func BenchmarkMEANetInferBatch(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(16*b.N)/b.Elapsed().Seconds(), "images/s")
+}
+
+// BenchmarkCloudCNNInferBatch is the deep cloud CNN's eval forward at the
+// serving shape: a ResNetCloud(3) classifier on a batch of 6 12x12 images,
+// the mean batch the cloud server forms under the tiered-loopback load.
+func BenchmarkCloudCNNInferBatch(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	backbone, err := models.BuildResNet(rng, models.ResNetCloud(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cls := models.NewClassifier(rng, backbone, 20)
+	const batch = 6
+	x := tensor.Randn(rng, 1, batch, 3, 12, 12)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cls.Logits(x, false)
+	}
+	b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "images/s")
 }
 
 // BenchmarkCloudOffload compares serial (one round trip per complex

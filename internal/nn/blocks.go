@@ -43,7 +43,9 @@ func (b *ResidualBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !y.SameShape(s) {
 		panic(fmt.Sprintf("nn: residual branch shapes diverge: %v vs %v", y.Shape(), s.Shape()))
 	}
-	return b.act.Forward(tensor.Add(y, s), train)
+	// y is the body's fresh output and nothing else holds it: sum in place.
+	y.AddInPlace(s)
+	return b.act.Forward(y, train)
 }
 
 // Backward routes the gradient through both branches and sums.
@@ -93,7 +95,7 @@ func NewInvertedResidual(rng *rand.Rand, name string, inC, outC, stride, expand 
 func (b *InvertedResidual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := b.Body.Forward(x, train)
 	if b.UseSkip {
-		return tensor.Add(y, x)
+		y.AddInPlace(x) // y is the body's fresh output
 	}
 	return y
 }

@@ -8,8 +8,11 @@ import (
 	"github.com/meanet/meanet/internal/tensor"
 )
 
-// Conv2D is a standard 2-D convolution over NCHW tensors, implemented as
-// im2col followed by a matrix product. Weight layout is [outC, inC, kh, kw].
+// Conv2D is a standard 2-D convolution over NCHW tensors, computed as the
+// matrix product weight @ im2col(x) per sample. The eval forward packs the
+// im2col panels straight from the input (tensor.ConvDims.Conv); the
+// training forward materialises the column matrices, which Backward needs.
+// Weight layout is [outC, inC, kh, kw].
 type Conv2D struct {
 	W      *Param
 	B      *Param // nil when the convolution has no bias (conv+BN idiom)
@@ -62,38 +65,29 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	outC := c.OutChannels()
 	out := tensor.New(n, outC, dims.OutH, dims.OutW)
 
-	colLen := dims.ColRows() * dims.ColCols()
 	var cols []float32
 	if train {
+		colLen := dims.ColRows() * dims.ColCols()
 		cols = make([]float32, n*colLen)
+		forEachSample(n, func(i int) {
+			dims.Im2Col(x.Sample(i).Data(), cols[i*colLen:(i+1)*colLen])
+		})
+		dims.ConvCols(c.W.Data.Data(), cols, out.Data(), outC, n)
+	} else {
+		dims.Conv(c.W.Data.Data(), x.Data(), out.Data(), outC, n)
 	}
-
-	w2d := c.W.Data.Reshape(outC, dims.ColRows())
-	forEachSample(n, func(i int) {
-		var buf []float32
-		if train {
-			buf = cols[i*colLen : (i+1)*colLen]
-		} else {
-			buf = make([]float32, colLen)
-		}
-		dims.Im2Col(x.Sample(i).Data(), buf)
-		colsT := tensor.FromSlice(buf, dims.ColRows(), dims.ColCols())
-		res := tensor.MatMul(w2d, colsT) // [outC, oHW]
-		outSample := out.Sample(i)
-		copy(outSample.Data(), res.Data())
-		if c.B != nil {
-			bd := c.B.Data.Data()
-			od := outSample.Data()
-			plane := dims.OutH * dims.OutW
-			for f := 0; f < outC; f++ {
-				bv := bd[f]
-				seg := od[f*plane : (f+1)*plane]
+	if c.B != nil {
+		od := out.Data()
+		plane := dims.OutH * dims.OutW
+		for i := 0; i < n; i++ {
+			for f, bv := range c.B.Data.Data() {
+				seg := od[(i*outC+f)*plane : (i*outC+f+1)*plane]
 				for j := range seg {
 					seg[j] += bv
 				}
 			}
 		}
-	})
+	}
 
 	if train {
 		c.dims = dims

@@ -26,14 +26,17 @@ func refGemm(a, b *Tensor) *Tensor {
 	return out
 }
 
-// gemmShapes exercises ragged micro-tiles (m, n not multiples of the 4x4
+// gemmShapes exercises ragged micro-tiles (m, n not multiples of the 4x8
 // register tile), k spans crossing the 64-deep packed block, and n spans
 // crossing the 256-wide B block, on both sides of the small-product cutoff.
+// {64, 576, 9} and {32, 288, 36} are the deep cloud CNN's per-sample conv
+// products at 12x12 input (3x3 and 6x6 feature maps).
 var gemmShapes = [][3]int{
 	{1, 1, 1}, {3, 5, 2}, {4, 4, 4}, {5, 7, 6},
 	{31, 33, 29}, {32, 32, 32}, {64, 64, 64},
 	{65, 66, 67}, {128, 128, 128}, {13, 200, 301},
 	{100, 65, 260}, {4, 300, 257},
+	{64, 576, 9}, {32, 288, 36},
 }
 
 func TestBlockedGemmMatchesReferenceBitwise(t *testing.T) {

@@ -3,7 +3,7 @@ package tensor
 import "fmt"
 
 // MatMul returns the matrix product a @ b for a [m,k] and b [k,n].
-// Rows of the output are computed in parallel.
+// Products above gemmSmall multiply-adds are computed in parallel.
 func MatMul(a, b *Tensor) *Tensor {
 	m, k := mustMatrix("MatMul lhs", a)
 	k2, n := mustMatrix("MatMul rhs", b)
@@ -48,18 +48,16 @@ func gemmNN(a, b, out []float32, m, k, n int) {
 		gemmBlocked(a, k, 1, b, n, 1, out, m, k, n)
 		return
 	}
-	parfor(m, func(rs, re int) {
-		for i := rs; i < re; i++ {
-			ar := a[i*k : (i+1)*k]
-			or := out[i*n : (i+1)*n]
-			for p, av := range ar {
-				br := b[p*n : (p+1)*n]
-				for j, bv := range br {
-					or[j] += av * bv
-				}
+	for i := 0; i < m; i++ {
+		ar := a[i*k : (i+1)*k]
+		or := out[i*n : (i+1)*n]
+		for p, av := range ar {
+			br := b[p*n : (p+1)*n]
+			for j, bv := range br {
+				or[j] += av * bv
 			}
 		}
-	})
+	}
 }
 
 // gemmNT computes out[m,n] = a[m,k] @ b[n,k]ᵀ. Rows of a and b are both
@@ -69,41 +67,37 @@ func gemmNT(a, b, out []float32, m, k, n int) {
 		gemmBlocked(a, k, 1, b, 1, k, out, m, k, n)
 		return
 	}
-	parfor(m, func(rs, re int) {
-		for i := rs; i < re; i++ {
-			ar := a[i*k : (i+1)*k]
-			or := out[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				br := b[j*k : (j+1)*k]
-				var s float32
-				for p, av := range ar {
-					s += av * br[p]
-				}
-				or[j] = s
+	for i := 0; i < m; i++ {
+		ar := a[i*k : (i+1)*k]
+		or := out[i*n : (i+1)*n]
+		for j := 0; j < n; j++ {
+			br := b[j*k : (j+1)*k]
+			var s float32
+			for p, av := range ar {
+				s += av * br[p]
 			}
+			or[j] = s
 		}
-	})
+	}
 }
 
 // gemmTN computes out[m,n] = a[k,m]ᵀ @ b[k,n]; the small-product fallback
-// accumulates rank-1 updates, parallelised over output rows (columns of a).
+// accumulates rank-1 updates row by row of the output (column of a).
 func gemmTN(a, b, out []float32, m, k, n int) {
 	if m*k*n > gemmSmall {
 		gemmBlocked(a, 1, m, b, n, 1, out, m, k, n)
 		return
 	}
-	parfor(m, func(rs, re int) {
-		for i := rs; i < re; i++ {
-			or := out[i*n : (i+1)*n]
-			for p := 0; p < k; p++ {
-				av := a[p*m+i]
-				br := b[p*n : (p+1)*n]
-				for j, bv := range br {
-					or[j] += av * bv
-				}
+	for i := 0; i < m; i++ {
+		or := out[i*n : (i+1)*n]
+		for p := 0; p < k; p++ {
+			av := a[p*m+i]
+			br := b[p*n : (p+1)*n]
+			for j, bv := range br {
+				or[j] += av * bv
 			}
 		}
-	})
+	}
 }
 
 // Transpose2D returns the transpose of a 2-D tensor.

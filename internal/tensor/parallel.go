@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"runtime"
-	"sync"
-)
+import "runtime"
 
 // maxWorkers bounds the goroutine fan-out of parallel kernels. It defaults
 // to GOMAXPROCS and can be lowered for deterministic single-threaded runs.
@@ -22,33 +19,30 @@ func SetParallelism(n int) {
 // Parallelism reports the current worker count used by parallel kernels.
 func Parallelism() int { return maxWorkers }
 
-// parfor splits [0,n) into contiguous chunks and runs body on each chunk,
-// using up to maxWorkers goroutines. It waits for all chunks to finish.
-// For small n it runs inline to avoid goroutine overhead.
-func parfor(n int, body func(start, end int)) {
-	if n <= 0 {
-		return
+// taskq hands GEMM jobs to the helper goroutines runParallel starts. Each
+// send is paired with exactly one runTask goroutine, so a send never waits
+// for a receiver that does not exist, whichever call's helper takes it.
+// The buffer lets a caller hand out its parts and start on its own without
+// waiting for the helpers to be scheduled; 256 covers any worker count in
+// use, and a fuller queue only delays the sender.
+var taskq = make(chan *gemmJob, 256)
+
+// runTask helps one queued job. It takes no arguments, so starting it with
+// `go` allocates no closure.
+func runTask() {
+	j := <-taskq
+	j.runPart()
+	j.done.Done()
+}
+
+// runParallel runs j.runPart on the calling goroutine and on workers-1
+// short-lived goroutines, and returns when all have finished.
+func (j *gemmJob) runParallel(workers int) {
+	j.done.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go runTask()
+		taskq <- j
 	}
-	workers := maxWorkers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		body(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		wg.Add(1)
-		go func(s, e int) {
-			defer wg.Done()
-			body(s, e)
-		}(start, end)
-	}
-	wg.Wait()
+	j.runPart()
+	j.done.Wait()
 }
