@@ -29,6 +29,7 @@ import (
 	"github.com/meanet/meanet/internal/netsim"
 	"github.com/meanet/meanet/internal/netsim/fleet"
 	"github.com/meanet/meanet/internal/nn"
+	"github.com/meanet/meanet/internal/opt"
 	"github.com/meanet/meanet/internal/profile"
 	"github.com/meanet/meanet/internal/protocol"
 	"github.com/meanet/meanet/internal/tensor"
@@ -277,6 +278,7 @@ func BenchmarkConv2DTrainStep(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	conv := nn.NewConv2D(rng, "b", 8, 16, 3, 1, 1, false)
 	x := tensor.Randn(rng, 1, 8, 8, 12, 12)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out := conv.Forward(x, true)
@@ -322,6 +324,35 @@ func BenchmarkCloudCNNInferBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cls.Logits(x, false)
+	}
+	b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "images/s")
+}
+
+// BenchmarkCloudCNNTrainStep is one SGD step of the deep cloud CNN at the
+// training shape: a ResNetCloud(3) classifier on a batch of 32 12x12
+// images — forward, softmax cross-entropy, backward and the update.
+func BenchmarkCloudCNNTrainStep(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	backbone, err := models.BuildResNet(rng, models.ResNetCloud(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cls := models.NewClassifier(rng, backbone, 20)
+	const batch = 32
+	x := tensor.Randn(rng, 1, batch, 3, 12, 12)
+	labels := make([]int, batch)
+	for i := range labels {
+		labels[i] = rng.Intn(20)
+	}
+	params := cls.Params()
+	sgd := opt.NewSGD(0.01, 0.9, 5e-4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nn.ZeroGrads(params)
+		_, dy := nn.SoftmaxCrossEntropy(cls.Logits(x, true), labels)
+		cls.Backward(dy)
+		sgd.Step(params)
 	}
 	b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "images/s")
 }

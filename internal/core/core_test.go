@@ -10,6 +10,7 @@ import (
 	"github.com/meanet/meanet/internal/data"
 	"github.com/meanet/meanet/internal/metrics"
 	"github.com/meanet/meanet/internal/models"
+	"github.com/meanet/meanet/internal/nn"
 	"github.com/meanet/meanet/internal/tensor"
 )
 
@@ -343,6 +344,44 @@ func TestTrainMainBlockLearns(t *testing.T) {
 	}
 	if acc := cm.Accuracy(); acc < 0.5 {
 		t.Fatalf("main block failed to learn: train accuracy %.3f", acc)
+	}
+}
+
+// TestTrainClassifierIndependentOfParallelism trains the same classifier
+// from the same seed at 1, 2 and 4 kernel workers and requires every
+// trained parameter to be bitwise identical: a seed fixes the weights on
+// any core count.
+func TestTrainClassifierIndependentOfParallelism(t *testing.T) {
+	orig := tensor.Parallelism()
+	defer tensor.SetParallelism(orig)
+	s := testData(t, 31)
+	spec := models.ResNetSpec{
+		Name: "det-resnet", InChannels: 2, StemChannels: 8,
+		Channels: []int{16, 32}, Blocks: []int{1, 1}, Strides: []int{1, 2},
+	}
+	var want []*nn.Param
+	for _, workers := range []int{1, 2, 4} {
+		tensor.SetParallelism(workers)
+		rng := rand.New(rand.NewSource(31))
+		b, err := models.BuildResNet(rng, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cls := models.NewClassifier(rng, b, s.Train.NumClasses)
+		if err := TrainClassifier(cls, s.Train, DefaultTrainConfig(1, 32)); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = cls.Params()
+			continue
+		}
+		for i, p := range cls.Params() {
+			for j, v := range p.Data.Data() {
+				if w := want[i].Data.Data()[j]; v != w {
+					t.Fatalf("%d workers: %s[%d] = %v, want %v as at 1 worker", workers, p.Name, j, v, w)
+				}
+			}
+		}
 	}
 }
 

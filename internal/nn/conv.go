@@ -3,15 +3,25 @@ package nn
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"github.com/meanet/meanet/internal/tensor"
 )
 
 // Conv2D is a standard 2-D convolution over NCHW tensors, computed as the
-// matrix product weight @ im2col(x) per sample. The eval forward packs the
-// im2col panels straight from the input (tensor.ConvDims.Conv); the
-// training forward materialises the column matrices, which Backward needs.
+// matrix product weight @ im2col(x) per sample. Every product goes through
+// the tensor package's GEMM driver:
+//
+//   - the eval forward packs the im2col panels straight from the input
+//     (tensor.ConvDims.Conv);
+//   - the training forward materialises the column matrices in a pooled
+//     buffer (ConvDims.Unfold, ConvDims.ConvCols), which Backward reads
+//     and then releases, so no buffer outlives the step;
+//   - Backward accumulates dW in one product over the whole batch
+//     (ConvDims.ConvWeightGrad) and computes dX as Wᵀ @ dY_s for every
+//     sample with Wᵀ packed once (ConvDims.ConvInputGrad).
+//
+// Workers split outputs, never a sum, so gradients — and trained weights —
+// are bitwise the same at every tensor.SetParallelism setting.
 // Weight layout is [outC, inC, kh, kw].
 type Conv2D struct {
 	W      *Param
@@ -22,7 +32,7 @@ type Conv2D struct {
 	// Training caches (valid between Forward(train=true) and Backward).
 	dims     tensor.ConvDims
 	batch    int
-	cols     []float32 // im2col of the whole batch, [N][colRows*colCols]
+	cols     *tensor.Scratch // im2col of the whole batch, [N][colRows*colCols]
 	outShape []int
 }
 
@@ -65,14 +75,10 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	outC := c.OutChannels()
 	out := tensor.New(n, outC, dims.OutH, dims.OutW)
 
-	var cols []float32
 	if train {
-		colLen := dims.ColRows() * dims.ColCols()
-		cols = make([]float32, n*colLen)
-		forEachSample(n, func(i int) {
-			dims.Im2Col(x.Sample(i).Data(), cols[i*colLen:(i+1)*colLen])
-		})
-		dims.ConvCols(c.W.Data.Data(), cols, out.Data(), outC, n)
+		c.release()
+		c.cols = dims.Unfold(x.Data(), n)
+		dims.ConvCols(c.W.Data.Data(), c.cols.Data, out.Data(), outC, n)
 	} else {
 		dims.Conv(c.W.Data.Data(), x.Data(), out.Data(), outC, n)
 	}
@@ -92,7 +98,6 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		c.dims = dims
 		c.batch = n
-		c.cols = cols
 		c.outShape = out.Shape()
 	}
 	return out
@@ -103,78 +108,35 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if c.cols == nil {
 		panic("nn: Conv2D.Backward without prior Forward(train=true)")
 	}
-	dims := c.dims
-	n := c.batch
-	outC := c.OutChannels()
-	colLen := dims.ColRows() * dims.ColCols()
-	w2d := c.W.Data.Reshape(outC, dims.ColRows())
-	dx := tensor.New(n, dims.InC, dims.InH, dims.InW)
-
-	// Worker-local dW accumulators avoid contention; merged afterwards.
-	workers := tensor.Parallelism()
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	dWs := make([]*tensor.Tensor, workers)
-	dBs := make([][]float64, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for wkr := 0; wkr < workers; wkr++ {
-		start, end := wkr*chunk, (wkr+1)*chunk
-		if end > n {
-			end = n
-		}
-		if start >= end {
-			dWs[wkr] = tensor.New(outC, dims.ColRows())
-			dBs[wkr] = make([]float64, outC)
-			continue
-		}
-		wg.Add(1)
-		go func(wkr, start, end int) {
-			defer wg.Done()
-			dW := tensor.New(outC, dims.ColRows())
-			dB := make([]float64, outC)
-			for i := start; i < end; i++ {
-				dyS := tensor.FromSlice(dy.Sample(i).Data(), outC, dims.ColCols())
-				colsT := tensor.FromSlice(c.cols[i*colLen:(i+1)*colLen], dims.ColRows(), dims.ColCols())
-				// dW += dy_i @ cols_iᵀ
-				dW.AddInPlace(tensor.MatMulNT(dyS, colsT))
-				if c.B != nil {
-					for f := 0; f < outC; f++ {
-						var s float64
-						for _, v := range dyS.Row(f) {
-							s += float64(v)
-						}
-						dB[f] += s
-					}
-				}
-				// dcols = Wᵀ @ dy_i ; dx_i = col2im(dcols)
-				dcols := tensor.MatMulTN(w2d, dyS)
-				dims.Col2Im(dcols.Data(), dx.Sample(i).Data())
-			}
-			dWs[wkr] = dW
-			dBs[wkr] = dB
-		}(wkr, start, end)
-	}
-	wg.Wait()
-
-	gW := c.W.Grad.Reshape(outC, dims.ColRows())
-	for _, dW := range dWs {
-		gW.AddInPlace(dW)
-	}
+	dims, n, outC := c.dims, c.batch, c.OutChannels()
+	dims.ConvWeightGrad(dy.Data(), c.cols.Data, c.W.Grad.Data(), outC, n)
+	c.release()
 	if c.B != nil {
-		gB := c.B.Grad.Data()
-		for _, dB := range dBs {
-			for f, v := range dB {
-				gB[f] += float32(v)
+		// Per-sample sums in float64, summed over samples in order.
+		plane := dims.ColCols()
+		for f := range outC {
+			var total float64
+			for i := 0; i < n; i++ {
+				var s float64
+				for _, v := range dy.Data()[(i*outC+f)*plane : (i*outC+f+1)*plane] {
+					s += float64(v)
+				}
+				total += s
 			}
+			c.B.Grad.Data()[f] += float32(total)
 		}
 	}
-	c.cols = nil // release the cache
+	dx := tensor.New(n, dims.InC, dims.InH, dims.InW)
+	dims.ConvInputGrad(c.W.Data.Data(), dy.Data(), dx.Data(), outC, n)
 	return dx
+}
+
+// release hands the training column buffer back to its pool.
+func (c *Conv2D) release() {
+	if c.cols != nil {
+		c.cols.Release()
+		c.cols = nil
+	}
 }
 
 // Params returns the weight (and bias, if present).
@@ -183,36 +145,6 @@ func (c *Conv2D) Params() []*Param {
 		return []*Param{c.W}
 	}
 	return []*Param{c.W, c.B}
-}
-
-// forEachSample runs body(i) for each sample index in parallel.
-func forEachSample(n int, body func(i int)) {
-	workers := tensor.Parallelism()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		wg.Add(1)
-		go func(s, e int) {
-			defer wg.Done()
-			for i := s; i < e; i++ {
-				body(i)
-			}
-		}(start, end)
-	}
-	wg.Wait()
 }
 
 var _ Layer = (*Conv2D)(nil)

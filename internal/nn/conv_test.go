@@ -141,3 +141,159 @@ func TestConv2DConcurrentEvalForwardsBitwise(t *testing.T) {
 		requireBitwise(t, fmt.Sprintf("goroutine %d", g), got[g], want[g])
 	}
 }
+
+// refConvInputGrad is dX as the per-sample backward computed it before the
+// batched driver: dcols_s = MatMulTN(W, dY_s), folded back by col2im (the
+// direct loop below) into a zeroed dx_s.
+func refConvInputGrad(w, dy *tensor.Tensor, dims tensor.ConvDims) *tensor.Tensor {
+	n, outC := dy.Dim(0), dy.Dim(1)
+	w2d := tensor.FromSlice(w.Data(), outC, dims.ColRows())
+	dx := tensor.New(n, dims.InC, dims.InH, dims.InW)
+	for i := 0; i < n; i++ {
+		dyS := tensor.FromSlice(dy.Sample(i).Data(), outC, dims.ColCols())
+		dcols := tensor.MatMulTN(w2d, dyS).Data()
+		img := dx.Sample(i).Data()
+		row := 0
+		for c := 0; c < dims.InC; c++ {
+			for ky := 0; ky < dims.KH; ky++ {
+				for kx := 0; kx < dims.KW; kx++ {
+					for oy := 0; oy < dims.OutH; oy++ {
+						for ox := 0; ox < dims.OutW; ox++ {
+							sy, sx := oy*dims.Stride+ky-dims.Pad, ox*dims.Stride+kx-dims.Pad
+							if sy >= 0 && sy < dims.InH && sx >= 0 && sx < dims.InW {
+								img[(c*dims.InH+sy)*dims.InW+sx] += dcols[row*dims.ColCols()+oy*dims.OutW+ox]
+							}
+						}
+					}
+					row++
+				}
+			}
+		}
+	}
+	return dx
+}
+
+// refConvWeightGrad returns grad plus dW as one mul-then-add per term onto
+// each element, ascending over (sample, output position): the summation
+// order Conv2D.Backward promises at every parallelism. Padding taps read
+// +0 and are added like any other term.
+func refConvWeightGrad(grad, x, dy *tensor.Tensor, dims tensor.ConvDims) *tensor.Tensor {
+	n, outC := dy.Dim(0), dy.Dim(1)
+	out := grad.Clone()
+	g := out.Data()
+	cols := make([]float32, dims.ColRows()*dims.ColCols())
+	for i := 0; i < n; i++ {
+		dims.Im2Col(x.Sample(i).Data(), cols)
+		dyS := dy.Sample(i).Data()
+		for j := 0; j < dims.ColCols(); j++ {
+			for f := 0; f < outC; f++ {
+				for r := 0; r < dims.ColRows(); r++ {
+					g[f*dims.ColRows()+r] += dyS[f*dims.ColCols()+j] * cols[r*dims.ColCols()+j]
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestConv2DBackwardMatchesReferenceBitwise pins Backward to the two
+// references above, bitwise: dX to the per-sample product and col2im, dW
+// (accumulated onto a non-zero gradient) to the ascending (sample,
+// position) sum, and dB to per-sample float64 sums added in sample order.
+// It covers the forward test's geometries, batch sizes and worker counts.
+func TestConv2DBackwardMatchesReferenceBitwise(t *testing.T) {
+	orig := tensor.Parallelism()
+	defer tensor.SetParallelism(orig)
+	rng := rand.New(rand.NewSource(24))
+	sizes := [][2]int{{1, 1}, {3, 3}, {6, 6}, {12, 12}, {13, 11}}
+	const inC = 8
+	for _, hw := range sizes {
+		for _, k := range []int{1, 3} {
+			for _, stride := range []int{1, 2} {
+				for _, pad := range []int{0, 1} {
+					if hw[0]+2*pad < k || hw[1]+2*pad < k {
+						continue // no valid output
+					}
+					for _, outC := range []int{6, 64} {
+						bias := outC == 6
+						conv := NewConv2D(rng, "c", inC, outC, k, stride, pad, bias)
+						dims := tensor.NewConvDims(inC, hw[0], hw[1], k, k, stride, pad)
+						for _, n := range []int{1, 3, 32} {
+							x := tensor.Randn(rng, 1, n, inC, hw[0], hw[1])
+							dy := tensor.Randn(rng, 1, n, outC, dims.OutH, dims.OutW)
+							grad0 := tensor.Randn(rng, 1, conv.W.Grad.Shape()...)
+							wantDX := refConvInputGrad(conv.W.Data, dy, dims)
+							wantDW := refConvWeightGrad(grad0, x, dy, dims)
+							for _, workers := range []int{1, 8} {
+								tensor.SetParallelism(workers)
+								what := fmt.Sprintf("%dx%d/k%d/s%d/p%d/out%d/n%d/workers%d", hw[0], hw[1], k, stride, pad, outC, n, workers)
+								conv.W.Grad.CopyFrom(grad0)
+								if bias {
+									conv.B.Grad.Zero()
+								}
+								conv.Forward(x, true)
+								requireBitwise(t, what+" dX", conv.Backward(dy), wantDX)
+								requireBitwise(t, what+" dW", conv.W.Grad, wantDW)
+								if bias {
+									requireBitwise(t, what+" dB", conv.B.Grad, refBiasGrad(dy))
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// refBiasGrad sums each channel of dy per sample in float64, adds the
+// per-sample sums in sample order, and rounds once.
+func refBiasGrad(dy *tensor.Tensor) *tensor.Tensor {
+	n, outC := dy.Dim(0), dy.Dim(1)
+	plane := dy.Numel() / (n * outC)
+	out := tensor.New(outC)
+	for f := 0; f < outC; f++ {
+		var total float64
+		for i := 0; i < n; i++ {
+			var s float64
+			for _, v := range dy.Data()[(i*outC+f)*plane : (i*outC+f+1)*plane] {
+				s += float64(v)
+			}
+			total += s
+		}
+		out.Data()[f] = float32(total)
+	}
+	return out
+}
+
+// TestConv2DGradientsIndependentOfParallelism checks that one training
+// step's dX, dW and dB are bitwise identical at 1, 2 and 4 workers.
+func TestConv2DGradientsIndependentOfParallelism(t *testing.T) {
+	orig := tensor.Parallelism()
+	defer tensor.SetParallelism(orig)
+	rng := rand.New(rand.NewSource(25))
+	geoms := []struct{ inC, outC, hw, k, stride, pad, n int }{
+		{3, 16, 12, 3, 1, 1, 32},
+		{16, 32, 12, 3, 2, 1, 32},
+		{64, 64, 3, 3, 1, 1, 32},
+		{16, 32, 12, 1, 2, 0, 7},
+	}
+	for _, g := range geoms {
+		conv := NewConv2D(rng, "c", g.inC, g.outC, g.k, g.stride, g.pad, true)
+		x := tensor.Randn(rng, 1, g.n, g.inC, g.hw, g.hw)
+		var want []*tensor.Tensor
+		for _, workers := range []int{1, 2, 4} {
+			tensor.SetParallelism(workers)
+			ZeroGrads(conv.Params())
+			out := conv.Forward(x, true)
+			got := []*tensor.Tensor{conv.Backward(out), conv.W.Grad.Clone(), conv.B.Grad.Clone()}
+			if want == nil {
+				want = got
+				continue
+			}
+			for i, name := range []string{"dX", "dW", "dB"} {
+				requireBitwise(t, fmt.Sprintf("%+v workers %d %s", g, workers, name), got[i], want[i])
+			}
+		}
+	}
+}

@@ -1,6 +1,10 @@
 package nn
 
-import "github.com/meanet/meanet/internal/tensor"
+import (
+	"sync"
+
+	"github.com/meanet/meanet/internal/tensor"
+)
 
 // Layer is the unit of composition for networks.
 //
@@ -71,3 +75,33 @@ var (
 	_ Layer = Identity{}
 	_ Layer = (*Sequential)(nil)
 )
+
+// forEachSample runs body(i) for each sample index in parallel.
+func forEachSample(n int, body func(i int)) {
+	workers := tensor.Parallelism()
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			body(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	chunk := (n + workers - 1) / workers
+	for start := 0; start < n; start += chunk {
+		end := start + chunk
+		if end > n {
+			end = n
+		}
+		wg.Add(1)
+		go func(s, e int) {
+			defer wg.Done()
+			for i := s; i < e; i++ {
+				body(i)
+			}
+		}(start, end)
+	}
+	wg.Wait()
+}

@@ -7,25 +7,36 @@ import (
 
 // Cache-blocked GEMM in the Goto/BLIS style. One loop nest serves every
 // packed product: the three matmul variants (NN, NT, TN), whose operand
-// layouts differ only in their element strides, and convolution, which
-// multiplies the same weight matrix into every sample of a batch.
+// layouts differ only in their element strides, the convolution forward,
+// which multiplies the same weight matrix into every sample of a batch,
+// and the two convolution backward products.
 //
-// A call computes C_s = A @ B_s for samples s = 0..S-1 sharing one A:
+// A call computes, for outputs s = 0..S-1,
 //
-//	pack all of A once, as k blocks (gemmKC deep) of row panels
+//	C_s += Σ_{t<T} A_t @ B_{s+t}
+//
+// in one of two shapes: many outputs sharing one A (T = 1: the forward and
+// the input gradient Wᵀ @ dY_s), or one output summed over segments
+// (S = 1: the weight gradient Σ_t dY_t @ cols_tᵀ, a GEMM over the
+// concatenated k of all samples). It runs as
+//
+//	pack every A_t once, as k blocks (gemmKC deep) of row panels
 //	  (gemmMR rows each, [kb][gemmMR])
-//	split the work into units — one (sample, gemmNC-wide column block)
-//	  each, cut further into row-panel chunks only when there are fewer
-//	  of them than workers — and let up to maxWorkers goroutines claim
-//	  units until none are left; per unit:
-//	    for each k block:
-//	      pack that block of B_s into panels of gemmNR contiguous columns
-//	      run the register-tiled micro-kernel for every (row panel,
-//	        column panel) pair against the packed A block
+//	split the work into units — one (output, column block) each, cut
+//	  further into row-panel chunks only when there are fewer of them
+//	  than workers — and let up to maxWorkers goroutines claim units
+//	  until none are left; per unit, for each segment t and k block:
+//	    pack that block of B_{s+t} into panels of gemmNR contiguous columns
+//	    run the register-tiled micro-kernel for every (row panel,
+//	      column panel) pair against the packed A block
 //
-// B has two packers: a strided matrix (packB) and a CHW image read as its
-// im2col matrix (ConvDims.packImage), so convolution never materialises
-// the column matrix. Packing makes the micro-kernel's loads contiguous
+// A summed product first narrows its column blocks to a multiple of the
+// worker count, so each worker packs a disjoint part of B.
+//
+// B has two packers: a strided matrix (packB, with a fast path for a
+// transposed operand) and a CHW image read as its im2col matrix
+// (ConvDims.packImage), so the eval convolution never materialises the
+// column matrix. Packing makes the micro-kernel's loads contiguous
 // whatever the operand layout, and the gemmMR x gemmNR register tile keeps
 // the C accumulators in registers across the whole k block. Ragged border
 // tiles go through the same micro-kernel via a zero-padded stack tile. On
@@ -37,12 +48,13 @@ import (
 // product allocates nothing once the pools are warm. Packs are never kept
 // across calls: training and weight loads rewrite operands in place.
 //
-// Accumulation order over k is ascending everywhere — identical to the
-// naive small-product kernels and independent of worker count, block
-// boundaries, row grouping and batch size — so results are bitwise
-// identical across batch sizes and parallelism settings. The cloud
-// micro-batching layer relies on this to return the same predictions
-// batched or not.
+// Every C element is one sequence of mul-then-adds in ascending k (segment
+// by segment) onto its initial value — identical to the naive small-product
+// kernels and independent of worker count, block boundaries, row grouping
+// and batch size — so results are bitwise identical across batch sizes and
+// parallelism settings. The cloud micro-batching layer relies on this to
+// return the same predictions batched or not, and training on it to give
+// the same weights on any core count.
 
 const (
 	gemmMR = 4   // micro-tile rows (C rows resident in registers)
@@ -57,27 +69,33 @@ const (
 	gemmSmall = 32 * 1024
 )
 
-// gemmJob is one blocked product: C_s = A @ B_s for every sample s.
+// gemmJob is one blocked product: C_s += Σ_t A_t @ B_{s+t} for every
+// output s.
 type gemmJob struct {
-	a         []float32 // A packed by packAll; kept (and regrown) across uses
-	m, k, n   int
-	mPad      int // m rounded up to whole row panels
+	a         []float32 // every A_t packed by packAll; kept (and regrown) across uses
+	m, k, n   int       // k is the depth of one segment
+	mPad      int       // m rounded up to whole row panels
+	segs      int       // segments T summed into each output
 	b         []float32
-	bStep     int  // B_s starts at b[s*bStep]
-	brs, bcs  int  // B_s(p,j) = b[s*bStep+p*brs+j*bcs] when !img
-	img       bool // B_s is the im2col matrix of the CHW image at b[s*bStep:]
+	bStep     int  // B_i starts at b[i*bStep]
+	brs, bcs  int  // B_i(p,j) = b[i*bStep+p*brs+j*bcs] when !img
+	img       bool // B_i is the im2col matrix of the CHW image at b[i*bStep:]
 	dims      ConvDims
 	out       []float32
-	outStep   int // C_s is row-major [m,n] at out[s*outStep:]
-	colBlocks int // gemmNC-wide column blocks per sample
-	rowSplits int // row-panel chunks per (sample, column block)
-	rowChunk  int // row panels per chunk
-	units     int // samples * colBlocks * rowSplits
+	outStep   int  // C_s is row-major [m,n] at out[s*outStep:]
+	overwrite bool // C_s starts from zero instead of out's contents
+	nc        int  // column extent of a unit, at most gemmNC
+	colBlocks int  // nc-wide column blocks per output
+	rowSplits int  // row-panel chunks per (output, column block)
+	rowChunk  int  // row panels per chunk
+	units     int  // outputs * colBlocks * rowSplits
 	next      atomic.Int64
 	done      sync.WaitGroup
 }
 
 var gemmJobs = sync.Pool{New: func() any { return new(gemmJob) }}
+
+func (j *gemmJob) group() *sync.WaitGroup { return &j.done }
 
 // gemmWorkspace is one worker's packing buffers, grown to the largest
 // product it has served.
@@ -92,32 +110,44 @@ var workspaces = sync.Pool{New: func() any { return new(gemmWorkspace) }}
 // B(p,j) = b[p*brs+j*bcs]. out must be row-major [m,n] and zero-initialised
 // (or hold a partial sum to accumulate onto).
 func gemmBlocked(a []float32, ars, acs int, b []float32, brs, bcs int, out []float32, m, k, n int) {
-	j := newGemmJob(a, ars, acs, m, k)
+	j := newGemmJob(a, ars, acs, 0, m, k, 1)
 	j.b, j.brs, j.bcs = b, brs, bcs
 	j.run(out, n, 1, 0, 0)
 }
 
-// newGemmJob takes a job from the pool and packs A into it.
-func newGemmJob(a []float32, ars, acs, m, k int) *gemmJob {
+// newGemmJob takes a job from the pool and packs into it the segs matrices
+// A_t(i,p) = a[t*aStep+i*ars+p*acs], each m x k.
+func newGemmJob(a []float32, ars, acs, aStep, m, k, segs int) *gemmJob {
 	j := gemmJobs.Get().(*gemmJob)
-	j.m, j.k = m, k
+	j.m, j.k, j.segs = m, k, segs
 	j.mPad = (m + gemmMR - 1) / gemmMR * gemmMR
-	if cap(j.a) < j.mPad*k {
-		j.a = make([]float32, j.mPad*k)
+	seg := j.mPad * k
+	if cap(j.a) < segs*seg {
+		j.a = make([]float32, segs*seg)
 	}
-	j.a = j.a[:j.mPad*k]
-	packAll(j.a, a, ars, acs, m, k, j.mPad)
+	j.a = j.a[:segs*seg]
+	for t := 0; t < segs; t++ {
+		packAll(j.a[t*seg:], a[t*aStep:], ars, acs, m, k, j.mPad)
+	}
 	return j
 }
 
-// run computes every C_s += A @ B_s (C_s at out[s*outStep:], B_s at
-// b[s*bStep:]) for samples s in [0,samples), then returns j to the pool.
-func (j *gemmJob) run(out []float32, n, samples, bStep, outStep int) {
+// run computes C_s += Σ_t A_t @ B_{s+t} (C_s at out[s*outStep:], B_i at
+// b[i*bStep:]) for outputs s in [0,outputs), then returns j to the pool.
+func (j *gemmJob) run(out []float32, n, outputs, bStep, outStep int) {
 	j.n, j.out, j.bStep, j.outStep = n, out, bStep, outStep
 	nPanels := j.mPad / gemmMR
-	j.colBlocks = (n + gemmNC - 1) / gemmNC
-	items := samples * j.colBlocks
 	workers := maxWorkers
+	j.nc = gemmNC
+	if j.segs > 1 {
+		// One summed output: cut its columns into a multiple of workers
+		// blocks rather than its rows, so no two workers pack the same B.
+		blocks := (n + gemmNC - 1) / gemmNC
+		blocks = (blocks + workers - 1) / workers * workers
+		j.nc = ((n+blocks-1)/blocks + gemmNR - 1) / gemmNR * gemmNR
+	}
+	j.colBlocks = (n + j.nc - 1) / j.nc
+	items := outputs * j.colBlocks
 	j.rowChunk = max(nPanels, 1)
 	if items > 0 && items < workers && nPanels > 1 {
 		splits := min((workers+items-1)/items, nPanels)
@@ -127,18 +157,18 @@ func (j *gemmJob) run(out []float32, n, samples, bStep, outStep int) {
 	j.units = items * j.rowSplits
 	j.next.Store(0)
 	if parts := min(workers, j.units); parts > 1 {
-		j.runParallel(parts)
+		runParallel(j, parts)
 	} else {
 		j.runPart()
 	}
-	j.b, j.out, j.img = nil, nil, false
+	j.b, j.out, j.img, j.overwrite = nil, nil, false, false
 	gemmJobs.Put(j)
 }
 
 // runPart claims units until none are left, packing B into a pooled block.
 func (j *gemmJob) runPart() {
 	ws := workspaces.Get().(*gemmWorkspace)
-	if need := min(gemmKC, j.k) * ((min(gemmNC, j.n) + gemmNR - 1) / gemmNR * gemmNR); cap(ws.b) < need {
+	if need := min(gemmKC, j.k) * ((min(j.nc, j.n) + gemmNR - 1) / gemmNR * gemmNR); cap(ws.b) < need {
 		ws.b = make([]float32, need)
 	}
 	nPanels := j.mPad / gemmMR
@@ -154,38 +184,45 @@ func (j *gemmJob) runPart() {
 	workspaces.Put(ws)
 }
 
-// runUnit computes row panels [p0,p1) of column block jb of sample s.
+// runUnit computes row panels [p0,p1) of column block jb of output s.
 func (j *gemmJob) runUnit(ws *gemmWorkspace, s, jb, p0, p1 int) {
 	m, k, n := j.m, j.k, j.n
-	jc := jb * gemmNC
-	nb := min(gemmNC, n-jc)
+	jc := jb * j.nc
+	nb := min(j.nc, n-jc)
 	nbPanels := (nb + gemmNR - 1) / gemmNR
-	b := j.b[s*j.bStep:]
 	out := j.out[s*j.outStep : s*j.outStep+m*n]
+	if j.overwrite {
+		for i := p0 * gemmMR; i < min(p1*gemmMR, m); i++ {
+			clear(out[i*n+jc : i*n+jc+nb])
+		}
+	}
 	if j.img {
 		ws.idx = j.dims.imageCols(ws.idx, jc, nb, nbPanels*gemmNR)
 	}
 	bb := ws.b[:cap(ws.b)]
-	for pc := 0; pc < k; pc += gemmKC {
-		kb := min(gemmKC, k-pc)
-		if j.img {
-			j.dims.packImage(bb, b, ws.idx, pc, kb)
-		} else {
-			packB(bb, b, j.brs, j.bcs, pc, kb, jc, nb)
-		}
-		aBlock := j.a[pc*j.mPad:]
-		for pi := p0; pi < p1; pi++ {
-			ap := aBlock[pi*kb*gemmMR:]
-			i0 := pi * gemmMR
-			rows := min(gemmMR, m-i0)
-			c := out[i0*n+jc:]
-			for jp := 0; jp < nbPanels; jp++ {
-				j0 := jp * gemmNR
-				bp := bb[j0*kb:]
-				if cols := min(gemmNR, nb-j0); rows == gemmMR && cols == gemmNR {
-					micro4x8(&ap[0], &bp[0], kb, &c[j0], n)
-				} else {
-					microRagged(&ap[0], &bp[0], kb, c[j0:], n, rows, cols)
+	for t := 0; t < j.segs; t++ {
+		b := j.b[(s+t)*j.bStep:]
+		for pc := 0; pc < k; pc += gemmKC {
+			kb := min(gemmKC, k-pc)
+			if j.img {
+				j.dims.packImage(bb, b, ws.idx, pc, kb)
+			} else {
+				packB(bb, b, j.brs, j.bcs, pc, kb, jc, nb)
+			}
+			aBlock := j.a[(t*k+pc)*j.mPad:]
+			for pi := p0; pi < p1; pi++ {
+				ap := aBlock[pi*kb*gemmMR:]
+				i0 := pi * gemmMR
+				rows := min(gemmMR, m-i0)
+				c := out[i0*n+jc:]
+				for jp := 0; jp < nbPanels; jp++ {
+					j0 := jp * gemmNR
+					bp := bb[j0*kb:]
+					if cols := min(gemmNR, nb-j0); rows == gemmMR && cols == gemmNR {
+						micro4x8(&ap[0], &bp[0], kb, &c[j0], n)
+					} else {
+						microRagged(&ap[0], &bp[0], kb, c[j0:], n, rows, cols)
+					}
 				}
 			}
 		}
@@ -245,12 +282,18 @@ func packA(dst, a []float32, ars, acs int, i0, rows, p0, kb int) {
 }
 
 // packB lays a kb x nb block of B out as ceil(nb/gemmNR) panels, each
-// [kb][gemmNR], zero-padding the ragged final panel.
+// [kb][gemmNR], zero-padding the ragged final panel. A transposed operand
+// (brs == 1) holds each panel column as a contiguous run of the source, so
+// its panels are filled from gemmNR streams at once.
 func packB(dst, b []float32, brs, bcs int, p0, kb, j0, nb int) {
 	nPanels := (nb + gemmNR - 1) / gemmNR
 	for jp := 0; jp < nPanels; jp++ {
 		cols := min(gemmNR, nb-jp*gemmNR)
-		panel := dst[jp*kb*gemmNR:]
+		panel := dst[jp*kb*gemmNR : (jp+1)*kb*gemmNR]
+		if brs == 1 && cols == gemmNR {
+			packColumns(panel, b[p0+(j0+jp*gemmNR)*bcs:], bcs, kb)
+			continue
+		}
 		for p := 0; p < kb; p++ {
 			base := (p0+p)*brs + (j0+jp*gemmNR)*bcs
 			d := panel[p*gemmNR : p*gemmNR+gemmNR]
@@ -265,5 +308,19 @@ func packB(dst, b []float32, brs, bcs int, p0, kb, j0, nb int) {
 				d[c] = 0
 			}
 		}
+	}
+}
+
+// packColumns fills a whole [kb][gemmNR] panel whose column c is the
+// contiguous run src[c*stride : c*stride+kb].
+func packColumns(panel, src []float32, stride, kb int) {
+	s0, s1 := src[:kb], src[stride:][:kb]
+	s2, s3 := src[2*stride:][:kb], src[3*stride:][:kb]
+	s4, s5 := src[4*stride:][:kb], src[5*stride:][:kb]
+	s6, s7 := src[6*stride:][:kb], src[7*stride:][:kb]
+	for p := range s0 {
+		d := (*[gemmNR]float32)(panel[p*gemmNR:])
+		d[0], d[1], d[2], d[3] = s0[p], s1[p], s2[p], s3[p]
+		d[4], d[5], d[6], d[7] = s4[p], s5[p], s6[p], s7[p]
 	}
 }

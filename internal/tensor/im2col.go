@@ -3,6 +3,8 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 )
 
 // ConvDims describes a 2-D convolution geometry shared by im2col/col2im and
@@ -54,31 +56,43 @@ func (d ConvDims) Im2Col(src, dst []float32) {
 		for ky := 0; ky < d.KH; ky++ {
 			for kx := 0; kx < d.KW; kx++ {
 				dstRow := dst[row*cols : (row+1)*cols]
-				i := 0
+				ox0, ox1 := d.validCols(kx)
 				for oy := 0; oy < d.OutH; oy++ {
+					out := dstRow[oy*d.OutW : (oy+1)*d.OutW]
 					sy := oy*d.Stride + ky - d.Pad
-					if sy < 0 || sy >= d.InH {
-						for ox := 0; ox < d.OutW; ox++ {
-							dstRow[i] = 0
-							i++
-						}
+					if sy < 0 || sy >= d.InH || ox0 == ox1 {
+						clear(out)
 						continue
 					}
+					clear(out[:ox0])
+					clear(out[ox1:])
 					srow := plane[sy*d.InW : (sy+1)*d.InW]
-					for ox := 0; ox < d.OutW; ox++ {
-						sx := ox*d.Stride + kx - d.Pad
-						if sx < 0 || sx >= d.InW {
-							dstRow[i] = 0
-						} else {
-							dstRow[i] = srow[sx]
-						}
-						i++
+					if d.Stride == 1 {
+						copy(out[ox0:ox1], srow[ox0+kx-d.Pad:])
+						continue
+					}
+					for ox := ox0; ox < ox1; ox++ {
+						out[ox] = srow[ox*d.Stride+kx-d.Pad]
 					}
 				}
 				row++
 			}
 		}
 	}
+}
+
+// validCols returns the range [ox0,ox1) of output columns whose kernel
+// column kx reads inside the image rather than its padding.
+func (d *ConvDims) validCols(kx int) (ox0, ox1 int) {
+	// sx = ox*Stride + kx - Pad must satisfy 0 <= sx < InW.
+	if lo := d.Pad - kx; lo > 0 {
+		ox0 = (lo + d.Stride - 1) / d.Stride
+	}
+	if hi := d.InW + d.Pad - kx; hi > 0 {
+		ox1 = (hi + d.Stride - 1) / d.Stride
+	}
+	ox0 = min(ox0, d.OutW)
+	return ox0, min(max(ox0, ox1), d.OutW)
 }
 
 // Conv computes the convolution out_s = w @ Im2Col(x_s) of the n CHW
@@ -89,7 +103,7 @@ func (d ConvDims) Im2Col(src, dst []float32) {
 // result is bitwise equal to MatMul(w, Im2Col(x_s)) per sample.
 func (d ConvDims) Conv(w, x, out []float32, outC, n int) {
 	d.checkConv(w, x, out, outC, n, d.InC*d.InH*d.InW)
-	j := newGemmJob(w, d.ColRows(), 1, outC, d.ColRows())
+	j := newGemmJob(w, d.ColRows(), 1, 0, outC, d.ColRows(), 1)
 	j.img, j.dims, j.b = true, d, x
 	j.run(out, d.ColCols(), n, d.InC*d.InH*d.InW, outC*d.ColCols())
 }
@@ -100,15 +114,106 @@ func (d ConvDims) Conv(w, x, out []float32, outC, n int) {
 func (d ConvDims) ConvCols(w, cols, out []float32, outC, n int) {
 	colLen := d.ColRows() * d.ColCols()
 	d.checkConv(w, cols, out, outC, n, colLen)
-	j := newGemmJob(w, d.ColRows(), 1, outC, d.ColRows())
+	j := newGemmJob(w, d.ColRows(), 1, 0, outC, d.ColRows(), 1)
 	j.b, j.brs, j.bcs = cols, d.ColCols(), 1
 	j.run(out, d.ColCols(), n, colLen, outC*d.ColCols())
+}
+
+// ConvInputGrad accumulates the input gradient of Conv onto dx:
+// dx_s += Col2Im(wᵀ @ dy_s) for the n [outC, ColCols()] samples of dy.
+// wᵀ is packed once for the batch and the column gradients live in a
+// pooled buffer. The result is bitwise equal to
+// Col2Im(MatMulTN(w, dy_s), dx_s) per sample.
+func (d ConvDims) ConvInputGrad(w, dy, dx []float32, outC, n int) {
+	d.checkConv(w, dx, dy, outC, n, d.InC*d.InH*d.InW)
+	colLen := d.ColRows() * d.ColCols()
+	dcols := getScratch(n * colLen)
+	j := newGemmJob(w, 1, d.ColRows(), 0, d.ColRows(), outC, 1)
+	j.b, j.brs, j.bcs, j.overwrite = dy, d.ColCols(), 1, true
+	j.run(dcols.Data, d.ColCols(), n, outC*d.ColCols(), colLen)
+	d.foldBatch(dx, dcols.Data, n, false)
+	dcols.Release()
+}
+
+// ConvWeightGrad accumulates the weight gradient of ConvCols onto the
+// [outC, ColRows()] matrix dw: dw += Σ_s dy_s @ cols_sᵀ. Each element is
+// one sequence of mul-then-adds onto its old value, ascending over
+// (sample, output position) — a GEMM over the concatenated
+// k = n*ColCols(). Workers split the elements of dw, never the sum, so the
+// result is bitwise the same at every parallelism.
+func (d ConvDims) ConvWeightGrad(dy, cols, dw []float32, outC, n int) {
+	colLen := d.ColRows() * d.ColCols()
+	d.checkConv(dw, cols, dy, outC, n, colLen)
+	j := newGemmJob(dy, d.ColCols(), 1, outC*d.ColCols(), outC, d.ColCols(), n)
+	j.b, j.brs, j.bcs = cols, 1, d.ColCols()
+	j.run(dw, d.ColRows(), 1, colLen, 0)
+}
+
+// Unfold returns the column matrices Im2Col(x_s) of the n CHW samples of
+// x, cols_s at Data[s*ColRows()*ColCols():], in a pooled buffer the caller
+// releases. Samples are unfolded in parallel.
+func (d ConvDims) Unfold(x []float32, n int) *Scratch {
+	cols := getScratch(n * d.ColRows() * d.ColCols())
+	d.foldBatch(x, cols.Data, n, true)
+	return cols
 }
 
 func (d ConvDims) checkConv(w, src, out []float32, outC, n, srcLen int) {
 	if len(w) != outC*d.ColRows() || len(src) != n*srcLen || len(out) != n*outC*d.ColCols() {
 		panic(fmt.Sprintf("tensor: conv lengths w %d src %d out %d, want %d %d %d",
 			len(w), len(src), len(out), outC*d.ColRows(), n*srcLen, n*outC*d.ColCols()))
+	}
+}
+
+// foldJob runs Im2Col (unfold) or Col2Im over the samples of a batch.
+type foldJob struct {
+	dims      ConvDims
+	img, cols []float32
+	n         int
+	unfold    bool
+	next      atomic.Int64
+	done      sync.WaitGroup
+}
+
+var foldJobs = sync.Pool{New: func() any { return new(foldJob) }}
+
+func (j *foldJob) group() *sync.WaitGroup { return &j.done }
+
+// foldBatch unfolds the n images in img into cols, or folds cols back
+// onto img, on up to maxWorkers goroutines. Samples are independent, so
+// the result does not depend on the split.
+func (d ConvDims) foldBatch(img, cols []float32, n int, unfold bool) {
+	if len(img) != n*d.InC*d.InH*d.InW || len(cols) != n*d.ColRows()*d.ColCols() {
+		panic(fmt.Sprintf("tensor: fold lengths img %d cols %d, want %d %d",
+			len(img), len(cols), n*d.InC*d.InH*d.InW, n*d.ColRows()*d.ColCols()))
+	}
+	j := foldJobs.Get().(*foldJob)
+	j.dims, j.img, j.cols, j.n, j.unfold = d, img, cols, n, unfold
+	j.next.Store(0)
+	if parts := min(maxWorkers, n); parts > 1 && len(cols) > gemmSmall {
+		runParallel(j, parts)
+	} else {
+		j.runPart()
+	}
+	j.img, j.cols = nil, nil
+	foldJobs.Put(j)
+}
+
+// runPart claims samples until none are left.
+func (j *foldJob) runPart() {
+	d := &j.dims
+	imgLen, colLen := d.InC*d.InH*d.InW, d.ColRows()*d.ColCols()
+	for {
+		s := int(j.next.Add(1) - 1)
+		if s >= j.n {
+			return
+		}
+		img, cols := j.img[s*imgLen:(s+1)*imgLen], j.cols[s*colLen:(s+1)*colLen]
+		if j.unfold {
+			d.Im2Col(img, cols)
+		} else {
+			d.Col2Im(cols, img)
+		}
 	}
 }
 
@@ -191,20 +296,23 @@ func (d ConvDims) Col2Im(src, dst []float32) {
 		for ky := 0; ky < d.KH; ky++ {
 			for kx := 0; kx < d.KW; kx++ {
 				srcRow := src[row*cols : (row+1)*cols]
-				i := 0
+				ox0, ox1 := d.validCols(kx)
 				for oy := 0; oy < d.OutH; oy++ {
 					sy := oy*d.Stride + ky - d.Pad
-					if sy < 0 || sy >= d.InH {
-						i += d.OutW
+					if sy < 0 || sy >= d.InH || ox0 == ox1 {
 						continue
 					}
+					in := srcRow[oy*d.OutW+ox0 : oy*d.OutW+ox1]
 					prow := plane[sy*d.InW : (sy+1)*d.InW]
-					for ox := 0; ox < d.OutW; ox++ {
-						sx := ox*d.Stride + kx - d.Pad
-						if sx >= 0 && sx < d.InW {
-							prow[sx] += srcRow[i]
+					if d.Stride == 1 {
+						acc := prow[ox0+kx-d.Pad:][:len(in)]
+						for i, v := range in {
+							acc[i] += v
 						}
-						i++
+						continue
+					}
+					for i, v := range in {
+						prow[(ox0+i)*d.Stride+kx-d.Pad] += v
 					}
 				}
 				row++

@@ -341,31 +341,44 @@ func TestConcatDim0(t *testing.T) {
 }
 
 // TestIm2ColMatchesDirectPatchExtraction verifies the unfolding against a
-// straightforward triple-loop patch reader on a small case.
+// straightforward triple-loop patch reader across geometries: strides,
+// ragged widths, and padding wider than half the kernel, where some kernel
+// columns read only padding.
 func TestIm2ColMatchesDirectPatchExtraction(t *testing.T) {
-	d := NewConvDims(2, 4, 4, 3, 3, 1, 1)
-	rng := rand.New(rand.NewSource(4))
-	img := Randn(rng, 1, 2, 4, 4)
-	cols := make([]float32, d.ColRows()*d.ColCols())
-	d.Im2Col(img.Data(), cols)
-	colAt := func(c, ky, kx, oy, ox int) float32 {
-		row := (c*d.KH+ky)*d.KW + kx
-		col := oy*d.OutW + ox
-		return cols[row*d.ColCols()+col]
+	geoms := []ConvDims{
+		NewConvDims(2, 4, 4, 3, 3, 1, 1),
+		NewConvDims(2, 7, 9, 3, 3, 2, 1),
+		NewConvDims(3, 6, 5, 1, 1, 2, 0),
+		NewConvDims(2, 5, 6, 3, 3, 2, 2),
+		NewConvDims(1, 1, 1, 5, 5, 1, 2),
 	}
-	for c := 0; c < d.InC; c++ {
-		for oy := 0; oy < d.OutH; oy++ {
-			for ox := 0; ox < d.OutW; ox++ {
-				for ky := 0; ky < d.KH; ky++ {
-					for kx := 0; kx < d.KW; kx++ {
-						sy := oy*d.Stride + ky - d.Pad
-						sx := ox*d.Stride + kx - d.Pad
-						var want float32
-						if sy >= 0 && sy < d.InH && sx >= 0 && sx < d.InW {
-							want = img.At(c, sy, sx)
-						}
-						if got := colAt(c, ky, kx, oy, ox); got != want {
-							t.Fatalf("im2col[%d,%d,%d,%d,%d] = %v, want %v", c, ky, kx, oy, ox, got, want)
+	rng := rand.New(rand.NewSource(4))
+	for gi, d := range geoms {
+		img := Randn(rng, 1, d.InC, d.InH, d.InW)
+		cols := make([]float32, d.ColRows()*d.ColCols())
+		for i := range cols {
+			cols[i] = float32(math.NaN()) // every element must be written
+		}
+		d.Im2Col(img.Data(), cols)
+		colAt := func(c, ky, kx, oy, ox int) float32 {
+			row := (c*d.KH+ky)*d.KW + kx
+			col := oy*d.OutW + ox
+			return cols[row*d.ColCols()+col]
+		}
+		for c := 0; c < d.InC; c++ {
+			for oy := 0; oy < d.OutH; oy++ {
+				for ox := 0; ox < d.OutW; ox++ {
+					for ky := 0; ky < d.KH; ky++ {
+						for kx := 0; kx < d.KW; kx++ {
+							sy := oy*d.Stride + ky - d.Pad
+							sx := ox*d.Stride + kx - d.Pad
+							var want float32
+							if sy >= 0 && sy < d.InH && sx >= 0 && sx < d.InW {
+								want = img.At(c, sy, sx)
+							}
+							if got := colAt(c, ky, kx, oy, ox); got != want {
+								t.Fatalf("geometry %d: im2col[%d,%d,%d,%d,%d] = %v, want %v", gi, c, ky, kx, oy, ox, got, want)
+							}
 						}
 					}
 				}
@@ -384,6 +397,8 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 		NewConvDims(2, 7, 9, 3, 3, 2, 1),
 		NewConvDims(4, 6, 6, 1, 1, 1, 0),
 		NewConvDims(2, 9, 9, 5, 5, 2, 2),
+		NewConvDims(2, 5, 6, 3, 3, 2, 2),
+		NewConvDims(1, 1, 1, 5, 5, 1, 2),
 	}
 	rng := rand.New(rand.NewSource(5))
 	for gi, d := range geoms {
